@@ -68,7 +68,7 @@ DEFAULT_HISTORY = "benchmarks/results/BENCH_history.jsonl"
 #: path into a columnar store.
 #: ``fleet_sweep_batched`` gates batched kernel dispatch: the same
 #: 1000-unit sweep with multi-replication C calls must sustain at
-#: least 3x the ``batch_size=1`` unit-at-a-time throughput (its setup
+#: least 3x the ``batch_size=1`` one-replication-per-call throughput (its setup
 #: *raises* below the floor — losing the batch path is a regression
 #: of the fleet throughput claim).
 #: ``a7_epoch_compiled``, ``adaptive_antithetic_compiled`` and
@@ -394,8 +394,8 @@ def _kernel_fleet_sweep_batched() -> Callable[[], object]:
     serial: each replication chunk is one multi-replication C call
     (kernel state and RNG arenas allocated once per chunk, reset
     between replications) with chunk results appended columnar. Setup
-    times the same sweep at ``batch_size=1`` (the unit-at-a-time
-    dispatch path) and **raises** when batching is less than 3x the
+    times the same sweep at ``batch_size=1`` (one replication per
+    kernel call) and **raises** when batching is less than 3x the
     unbatched units/sec — losing the batch path is a regression of the
     fleet throughput claim, not a slowdown. Hosts without a C
     toolchain skip. Rows are bit-identical either way (covered by
@@ -407,11 +407,10 @@ def _kernel_fleet_sweep_batched() -> Callable[[], object]:
 
     from repro.experiments.common import small_cluster, small_workload
     from repro.simulation import FleetScenario, run_fleet
-    from repro.simulation.compiled import kernel_available, kernel_status, warm_kernel
+    from repro.simulation.compiled import kernel_available, kernel_status
 
     if not kernel_available():
         raise BenchSkip(f"compiled kernel unavailable: {kernel_status()['error']}")
-    warm_kernel()
 
     cluster = small_cluster()
     scenarios = [

@@ -92,7 +92,7 @@
 #define RC_INVARIANT 3
 
 typedef double (*service_cb_t)(int sampler_id);
-typedef double (*arrival_cb_t)(int cls, long long *batch_out);
+typedef double (*arrival_cb_t)(int slot, long long *batch_out);
 typedef long long (*refill_cb_t)(int block_id, double *buf, long long cap);
 typedef int (*epoch_cb_t)(double t);
 typedef int (*sample_cb_t)(const double *ts, const long long *vals, long long n_rows);
@@ -457,17 +457,16 @@ typedef struct {
     long long *n_blocked;
     long long *offered;
     long long *out_scalars;  /* jid, n_events, n_warmup_discarded, hit_horizon */
-    dbuf_t *delay_buf;       /* K growable buffers */
-    /* inline per-class delay accumulation (batch mode): the scalar
-     * Welford recurrence on doubles, bitwise identical to
-     * stats.Welford.add_batch replaying the same values. */
-    int use_welford;
+    /* per-class delay moments: the scalar Welford recurrence on doubles,
+     * bitwise identical to stats.Welford.add_batch replaying the same
+     * values in the same order */
     long long *wf_n;         /* K */
     double *wf_mean;         /* K */
     double *wf_m2;           /* K */
-    logbuf_t log;
+    int collect_delays;
+    dbuf_t *delay_buf;       /* K growable buffers (collect_delays) */
     int collect_log;
-    int oom;
+    logbuf_t log;
 } ctx_t;
 
 /* Next value from a Python-refilled variate buffer.  The refill
@@ -574,7 +573,7 @@ static double next_gap(ctx_t *c, int k, long long *batch) {
         return gap;
     }
     default: /* SK_PYCALL */
-        return c->arrival_cb(k, batch);
+        return c->arrival_cb(ad->py_id, batch);
     }
 }
 
@@ -878,27 +877,34 @@ static int flush_samples(ctx_t *c) {
     return 0;
 }
 
+/* Mirror of close_open_intervals (server order, like the Python
+ * stations): accrue every open busy interval up to t and publish the
+ * station's busy total. */
+static void close_intervals(ctx_t *c, station_t *st, double t) {
+    if (st->discipline == DISC_PS) {
+        ps_elapse(c, st, t);
+    } else {
+        for (int s = 0; s < st->n_servers; s++) {
+            int ji = st->srv_job[s];
+            if (ji >= 0) {
+                record_busy(st, c->jobs.pool[ji].cls, st->srv_busy_since[s], t);
+                st->srv_busy_since[s] = t;
+            }
+        }
+    }
+    c->busy_out[st->index] = st->busy_total;
+}
+
 /* One epoch boundary: close busy intervals at tb (exactly like the
- * engine's _accrue_segments call to close_open_intervals), publish the
- * per-tier busy totals and queue counts, flush buffered samples, yield
- * to the Python controller, and -- when it reports new speeds -- apply
- * the engine's work-preserving remaining-time rescale.  Returns
- * non-zero on error (abort flag distinguishes callback exceptions). */
+ * engine's epoch hook), publish the per-tier queue counts, flush
+ * buffered samples, yield to the Python controller, and -- when it
+ * reports new speeds -- apply the engine's work-preserving
+ * remaining-time rescale.  Returns non-zero on error (abort flag
+ * distinguishes callback exceptions). */
 static int fire_epoch(ctx_t *c, double tb) {
     for (int i = 0; i < c->M; i++) {
         station_t *st = &c->stations[i];
-        if (st->discipline == DISC_PS) {
-            ps_elapse(c, st, tb);
-        } else {
-            for (int s = 0; s < st->n_servers; s++) {
-                int ji = st->srv_job[s];
-                if (ji >= 0) {
-                    record_busy(st, c->jobs.pool[ji].cls, st->srv_busy_since[s], tb);
-                    st->srv_busy_since[s] = tb;
-                }
-            }
-        }
-        c->busy_out[i] = st->busy_total;
+        close_intervals(c, st, tb);
         /* Queue counts in SimStation.class_counts order (servers, then
          * FIFO, then priority queues) -- integer adds, order-free. */
         long long *row = c->counts_out + (long long)i * c->K;
@@ -985,6 +991,14 @@ static void free_ctx(ctx_t *c) {
         for (int b = 0; b < c->n_blocks; b++) free(c->blocks[b].buf);
         free(c->blocks);
     }
+    if (c->delay_buf != NULL) {
+        for (int k = 0; k < c->K; k++) free(c->delay_buf[k].buf);
+        free(c->delay_buf);
+    }
+    free(c->log.jid);
+    free(c->log.cls);
+    free(c->log.arrival);
+    free(c->log.exit_t);
     free(c->cur_speed);
     free(c->scratch_counts);
     free(c->sample_ts.buf);
@@ -992,20 +1006,19 @@ static void free_ctx(ctx_t *c) {
     free(c->heap.buf);
     free(c->jobs.pool);
     free(c->jobs.free_list);
-    /* delay/log buffers are handed to the caller on success and freed
-     * via k_free; on failure they are freed here */
 }
 
 void k_free(void *p) { free(p); }
 
 /* ------------------- allocation / reset / core loop ------------------ */
 
-/* One-time arena allocation: event heap, job pool, scratch, Python
- * block buffers and the per-station server arrays / queues / PS pools.
- * Station geometry comes from the descriptors and never changes across
- * the replications of a batch; ctx_reset() rewinds the mutable state
- * between runs without touching any of these allocations.  Returns
- * non-zero on OOM (free_ctx cleans up whatever was allocated). */
+/* One-time arena allocation: event heap, job pool, scratch, delay
+ * buffers, the current-speed vector, Python block buffers and the
+ * per-station server arrays / queues / PS pools.  Station geometry
+ * comes from the descriptors and never changes across the replications
+ * of a call; ctx_reset() rewinds the mutable state between runs
+ * without touching any of these allocations.  Returns non-zero on OOM
+ * (free_ctx cleans up whatever was allocated). */
 static int ctx_alloc(ctx_t *c, const StationDesc *station_desc,
                      int n_blocks, long long block_size) {
     c->heap.cap = 256;
@@ -1013,7 +1026,14 @@ static int ctx_alloc(ctx_t *c, const StationDesc *station_desc,
     if (c->heap.buf == NULL || jp_init(&c->jobs)) return 1;
 
     c->scratch_counts = (int *)malloc(sizeof(int) * c->K);
-    if (c->scratch_counts == NULL) return 1;
+    c->delay_buf = (dbuf_t *)calloc(c->K, sizeof(dbuf_t));
+    if (c->scratch_counts == NULL || c->delay_buf == NULL) return 1;
+
+    if (c->dynamic) {
+        c->cur_speed = (double *)malloc(sizeof(double) * c->M);
+        if (c->cur_speed == NULL) return 1;
+        for (int i = 0; i < c->M; i++) c->cur_speed[i] = c->speeds[i];
+    }
 
     c->n_blocks = n_blocks;
     if (n_blocks > 0) {
@@ -1095,11 +1115,16 @@ static void ctx_reset(ctx_t *c) {
     }
 }
 
-/* Seed the initial arrivals, run the event loop to the horizon, flush
- * buffered samples, close open busy intervals and write the four out
- * scalars.  Identical control flow to the pre-batch monolith -- the
- * refactor only moved state into ctx_t so a batch can reuse it.  All
- * error paths leave buffers owned by the ctx (the caller frees). */
+/* One routing uniform for class k: pre-drawn (antithetic) or native. */
+static double routing_u(ctx_t *c, int k) {
+    if (c->routing_block != NULL) return block_next(c, c->routing_block[k]);
+    return random_standard_uniform((bitgen_t *)c->routing_bg[k]);
+}
+
+/* One replication: seed the initial arrivals, run the event loop to
+ * the horizon, flush buffered samples, close open busy intervals and
+ * write the four out scalars.  All error paths leave buffers owned by
+ * the ctx (free_ctx releases them). */
 static int run_core(ctx_t *c) {
     double horizon = c->horizon;
     double warmup = c->warmup;
@@ -1163,13 +1188,8 @@ static int run_core(ctx_t *c) {
             int nxt_station;
             int continuing;
             if (c->has_routing) {
-                double u;
-                if (c->routing_block != NULL) {
-                    u = block_next(c, c->routing_block[k]);
-                    if (*c->abort_flag) return RC_ABORT;
-                } else {
-                    u = random_standard_uniform((bitgen_t *)c->routing_bg[k]);
-                }
+                double u = routing_u(c, k);
+                if (*c->abort_flag) return RC_ABORT;
                 const double *row = c->trans_cum[k] + (long long)here * M;
                 int nxt = -1;
                 if (u <= row[M - 1]) {
@@ -1194,17 +1214,14 @@ static int run_core(ctx_t *c) {
                 }
                 if (!accepted && jp_release(&c->jobs, jidx)) return RC_NOMEM;
             } else if (counted) {
-                if (c->use_welford) {
-                    /* stats.Welford.add: n += 1; delta = x - mean;
-                     * mean += delta / n; m2 += delta * (x - mean). */
-                    double x = t - j->arrival;
-                    long long n = ++c->wf_n[k];
-                    double delta = x - c->wf_mean[k];
-                    c->wf_mean[k] += delta / (double)n;
-                    c->wf_m2[k] += delta * (x - c->wf_mean[k]);
-                } else {
-                    if (dbuf_push(&c->delay_buf[k], t - j->arrival)) return RC_NOMEM;
-                }
+                /* stats.Welford.add: n += 1; delta = x - mean;
+                 * mean += delta / n; m2 += delta * (x - mean). */
+                double x = t - j->arrival;
+                long long n = ++c->wf_n[k];
+                double delta = x - c->wf_mean[k];
+                c->wf_mean[k] += delta / (double)n;
+                c->wf_m2[k] += delta * (x - c->wf_mean[k]);
+                if (c->collect_delays && dbuf_push(&c->delay_buf[k], x)) return RC_NOMEM;
                 if (c->collect_log && logbuf_push(&c->log, j->jid, k, j->arrival, t))
                     return RC_NOMEM;
                 if (jp_release(&c->jobs, jidx)) return RC_NOMEM;
@@ -1221,13 +1238,8 @@ static int run_core(ctx_t *c) {
                 if (jidx < 0) return RC_NOMEM;
                 job_t *j = &c->jobs.pool[jidx];
                 if (c->has_routing) {
-                    double u;
-                    if (c->routing_block != NULL) {
-                        u = block_next(c, c->routing_block[k]);
-                        if (*c->abort_flag) return RC_ABORT;
-                    } else {
-                        u = random_standard_uniform((bitgen_t *)c->routing_bg[k]);
-                    }
+                    double u = routing_u(c, k);
+                    if (*c->abort_flag) return RC_ABORT;
                     const double *cum = c->entry_cum[k];
                     entry = -1;
                     if (u <= cum[M - 1]) {
@@ -1265,23 +1277,8 @@ static int run_core(ctx_t *c) {
      * when no controller is attached) flush once, after the loop. */
     if (flush_samples(c)) return *c->abort_flag ? RC_ABORT : RC_NOMEM;
 
-    /* close open busy intervals at the horizon (server order, like the
-     * Python finalizer) */
-    for (int i = 0; i < M; i++) {
-        station_t *st = &c->stations[i];
-        if (st->discipline == DISC_PS) {
-            ps_elapse(c, st, horizon);
-        } else {
-            for (int s = 0; s < st->n_servers; s++) {
-                int ji = st->srv_job[s];
-                if (ji >= 0) {
-                    record_busy(st, c->jobs.pool[ji].cls, st->srv_busy_since[s], horizon);
-                    st->srv_busy_since[s] = horizon;
-                }
-            }
-        }
-        c->busy_out[i] = st->busy_total;
-    }
+    /* close open busy intervals at the horizon */
+    for (int i = 0; i < M; i++) close_intervals(c, &c->stations[i], horizon);
 
     /* processed events = pushes - still-enqueued - the post-horizon pop */
     long long pushes = c->next_seq - 1;
@@ -1292,141 +1289,46 @@ static int run_core(ctx_t *c) {
     return RC_OK;
 }
 
-int run_kernel(
-    int K, int M, double horizon, double warmup,
-    StationDesc *station_desc, SamplerDesc *samplers, ArrivalDesc *arrivals,
-    int has_routing,
-    void **routes_v, int *route_len,
-    void **entry_cum_v, void **trans_cum_v, void **routing_bg,
-    int *routing_block,
-    refill_cb_t refill_cb, int n_blocks, long long block_size,
-    int dynamic, long long n_epochs, const double *epoch_times,
-    double *speeds, long long *counts_out, epoch_cb_t epoch_cb,
-    double sample_interval, sample_cb_t sample_cb,
-    int collect_log,
-    service_cb_t service_cb, arrival_cb_t arrival_cb, int *abort_flag,
-    double *wait_sum, double *sojourn_sum, long long *visit_count,
-    long long *n_blocked, long long *offered,
-    double *busy_total, double *class_busy,
-    long long *out_scalars,
-    void **delay_ptrs, long long *delay_counts,
-    void **log_ptrs, long long *log_count)
-{
-    ctx_t c;
-    memset(&c, 0, sizeof(c));
-    c.K = K;
-    c.M = M;
-    c.horizon = horizon;
-    c.warmup = warmup;
-    c.samplers = samplers;
-    c.arrivals = arrivals;
-    c.has_routing = has_routing;
-    c.routes = (int **)routes_v;
-    c.route_len = route_len;
-    c.entry_cum = (double **)entry_cum_v;
-    c.trans_cum = (double **)trans_cum_v;
-    c.routing_bg = routing_bg;
-    c.routing_block = routing_block;
-    c.service_cb = service_cb;
-    c.arrival_cb = arrival_cb;
-    c.refill_cb = refill_cb;
-    c.abort_flag = abort_flag;
-    c.dynamic = dynamic;
-    c.n_epochs = n_epochs;
-    c.epoch_times = epoch_times;
-    c.speeds = speeds;
-    c.counts_out = counts_out;
-    c.busy_out = busy_total;
-    c.epoch_cb = epoch_cb;
-    c.sample_interval = sample_interval;
-    c.sample_cb = sample_cb;
-    c.wait_sum = wait_sum;
-    c.sojourn_sum = sojourn_sum;
-    c.visit_count = visit_count;
-    c.n_blocked = n_blocked;
-    c.offered = offered;
-    c.out_scalars = out_scalars;
-    c.collect_log = collect_log;
-
-    int rc = RC_NOMEM;
-    dbuf_t *delay_buf = (dbuf_t *)calloc(K, sizeof(dbuf_t));
-    c.delay_buf = delay_buf;
-    if (delay_buf == NULL) return RC_NOMEM;
-
-    if (ctx_alloc(&c, station_desc, n_blocks, block_size)) goto fail;
-
-    if (dynamic) {
-        c.cur_speed = (double *)malloc(sizeof(double) * M);
-        if (c.cur_speed == NULL) goto fail;
-        for (int i = 0; i < M; i++) c.cur_speed[i] = speeds[i];
-    }
-
-    for (int i = 0; i < M; i++)
-        c.stations[i].class_busy = class_busy + (long long)i * K;
-    ctx_reset(&c);
-
-    rc = run_core(&c);
-    if (rc != RC_OK) goto fail;
-
-    for (int k = 0; k < K; k++) {
-        delay_ptrs[k] = delay_buf[k].buf; /* caller copies then k_free()s */
-        delay_counts[k] = delay_buf[k].len;
-    }
-    log_ptrs[0] = c.log.jid;
-    log_ptrs[1] = c.log.cls;
-    log_ptrs[2] = c.log.arrival;
-    log_ptrs[3] = c.log.exit_t;
-    *log_count = c.log.len;
-
-    free(delay_buf);
-    free_ctx(&c);
-    return RC_OK;
-
-fail:
-    if (delay_buf != NULL) {
-        for (int k = 0; k < K; k++) free(delay_buf[k].buf);
-        free(delay_buf);
-    }
-    free(c.log.jid);
-    free(c.log.cls);
-    free(c.log.arrival);
-    free(c.log.exit_t);
-    free_ctx(&c);
-    return rc;
-}
-
-/* Batched entry point for fleet sweeps: run n_reps independent static
- * replications of one scenario back to back on a single arena.  Each
- * replication brings its own sampler/arrival descriptors (fresh
- * per-seed bit generator pointers) and its own output slices; the
- * event heap, job pool and station arrays are allocated once by
- * ctx_alloc and rewound by ctx_reset between runs, so the Python->C
- * boundary is crossed once per batch instead of once per replication.
- * End-to-end delays accumulate inline through the scalar Welford
- * recurrence (use_welford) -- the exact IEEE expression sequence
- * stats.Welford.add_batch replays -- so no per-job delay buffers cross
- * the boundary either.
+/* The one entry point: run n_reps independent replications of one
+ * scenario back to back on a single arena.  Each replication brings its
+ * own sampler/arrival descriptors (its own per-seed bit generators) and
+ * writes its own block of every output; the event heap, job pool and
+ * station arrays are allocated once by ctx_alloc and rewound by
+ * ctx_reset between runs, so the Python->C boundary is crossed once per
+ * call, not once per replication.
+ *
+ * Optional inputs are off when NULL: routing tables (fixed itineraries
+ * otherwise), Python-refilled blocks, the epoch yield (epoch_cb), queue
+ * sampling (sample_cb), and the per-job delay-sample and job-log
+ * buffers, which are handed over per replication and released by the
+ * caller through k_free.  Blocks and the epoch yield keep per-run
+ * Python state, so their callers pass a single replication.
  *
  * On failure the index of the failing replication goes to *fail_index
- * and its RC_* code is returned; outputs for replications before it
- * are complete and valid, and the caller may re-invoke with offset
- * arrays to resume at fail_index + 1.  Dynamic speed control, routing
- * matrices, Python block buffers, job logs and queue sampling are
- * unit-path features: batch callers fall back to run_kernel for those
- * (enforced on the Python side). */
-int run_kernel_batch(
+ * and its RC_* code is returned; outputs before it are complete and
+ * valid, and the caller may re-invoke with offset arrays to resume at
+ * fail_index + 1. */
+int run_kernel(
     int n_reps, int K, int M, double horizon, double warmup,
     StationDesc *station_desc,
     SamplerDesc *samplers,       /* n_reps blocks of M*K */
     ArrivalDesc *arrivals,       /* n_reps blocks of K */
     void **routes_v, int *route_len,
+    void **entry_cum_v, void **trans_cum_v,
+    void **routing_bg,           /* n_reps blocks of K */
+    int *routing_block,
+    refill_cb_t refill_cb, int n_blocks, long long block_size,
+    long long n_epochs, const double *epoch_times,
+    double *speeds, long long *counts_out, epoch_cb_t epoch_cb,
+    double sample_interval, sample_cb_t sample_cb,
     service_cb_t service_cb, arrival_cb_t arrival_cb, int *abort_flag,
+    /* outputs: n_reps blocks each */
     double *wait_sum, double *sojourn_sum, long long *visit_count,
     long long *n_blocked, long long *offered,
-    double *busy_total,          /* n_reps blocks of M */
-    double *class_busy,          /* n_reps blocks of M*K */
-    long long *out_scalars,      /* n_reps blocks of 4 */
-    long long *wf_n, double *wf_mean, double *wf_m2, /* n_reps blocks of K */
+    double *busy_total, double *class_busy, long long *out_scalars,
+    long long *wf_n, double *wf_mean, double *wf_m2,
+    void **delay_ptrs, long long *delay_counts,
+    void **log_ptrs, long long *log_count,
     long long *fail_index)
 {
     ctx_t c;
@@ -1437,25 +1339,38 @@ int run_kernel_batch(
     c.warmup = warmup;
     c.routes = (int **)routes_v;
     c.route_len = route_len;
+    c.has_routing = entry_cum_v != NULL;
+    c.entry_cum = (double **)entry_cum_v;
+    c.trans_cum = (double **)trans_cum_v;
+    c.routing_block = routing_block;
+    c.refill_cb = refill_cb;
+    c.dynamic = epoch_cb != NULL;
+    c.n_epochs = n_epochs;
+    c.epoch_times = epoch_times;
+    c.speeds = speeds;
+    c.counts_out = counts_out;
+    c.epoch_cb = epoch_cb;
+    c.sample_interval = sample_interval;
+    c.sample_cb = sample_cb;
     c.service_cb = service_cb;
     c.arrival_cb = arrival_cb;
     c.abort_flag = abort_flag;
-    c.use_welford = 1;
-    *fail_index = -1;
+    c.collect_delays = delay_ptrs != NULL;
+    c.collect_log = log_ptrs != NULL;
 
-    if (ctx_alloc(&c, station_desc, 0, 0)) {
-        free_ctx(&c);
-        return RC_NOMEM;
-    }
+    int b = 0;
+    int rc = RC_NOMEM;
+    if (ctx_alloc(&c, station_desc, n_blocks, block_size)) goto done;
     size_t km = (size_t)K * M;
-    for (int b = 0; b < n_reps; b++) {
-        c.samplers = samplers + (size_t)b * km;
+    for (; b < n_reps; b++) {
+        c.samplers = samplers + b * km;
         c.arrivals = arrivals + (size_t)b * K;
-        c.wait_sum = wait_sum + (size_t)b * km;
-        c.sojourn_sum = sojourn_sum + (size_t)b * km;
-        c.visit_count = visit_count + (size_t)b * km;
-        c.n_blocked = n_blocked + (size_t)b * km;
-        c.offered = offered + (size_t)b * km;
+        if (routing_bg != NULL) c.routing_bg = routing_bg + (size_t)b * K;
+        c.wait_sum = wait_sum + b * km;
+        c.sojourn_sum = sojourn_sum + b * km;
+        c.visit_count = visit_count + b * km;
+        c.n_blocked = n_blocked + b * km;
+        c.offered = offered + b * km;
         c.busy_out = busy_total + (size_t)b * M;
         c.out_scalars = out_scalars + (size_t)b * 4;
         c.wf_n = wf_n + (size_t)b * K;
@@ -1464,13 +1379,27 @@ int run_kernel_batch(
         for (int i = 0; i < M; i++)
             c.stations[i].class_busy = class_busy + ((size_t)b * M + i) * K;
         ctx_reset(&c);
-        int rc = run_core(&c);
-        if (rc != RC_OK) {
-            *fail_index = b;
-            free_ctx(&c);
-            return rc;
+        rc = run_core(&c);
+        if (rc != RC_OK) goto done;
+        if (c.collect_delays)
+            for (int k = 0; k < K; k++) {
+                delay_ptrs[(size_t)b * K + k] = c.delay_buf[k].buf;
+                delay_counts[(size_t)b * K + k] = c.delay_buf[k].len;
+                memset(&c.delay_buf[k], 0, sizeof(dbuf_t));
+            }
+        if (c.collect_log) {
+            void **out = log_ptrs + (size_t)b * 4;
+            out[0] = c.log.jid;
+            out[1] = c.log.cls;
+            out[2] = c.log.arrival;
+            out[3] = c.log.exit_t;
+            log_count[b] = c.log.len;
+            memset(&c.log, 0, sizeof(logbuf_t));
         }
     }
+    rc = RC_OK;
+done:
+    *fail_index = rc == RC_OK ? -1 : b;
     free_ctx(&c);
-    return RC_OK;
+    return rc;
 }

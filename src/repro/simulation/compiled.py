@@ -19,6 +19,15 @@ bit-identical to the pure-Python engine (enforced by
 ``tests/test_golden_sim_metrics.py`` and
 ``tests/test_compiled_backend.py``).
 
+Every compiled simulation runs through one path: a single replication
+is a batch of one.  One descriptor builder (:func:`_simulate_reps`)
+turns a scenario plus a list of seeds into station descriptors, routes
+and sampler templates (once per call) and per-seed streams, and drives
+the one C entry point over all seeds on reused arenas; the accumulators
+come back with a leading replication axis and go through the one
+finalize the Python engine also uses
+(:func:`repro.simulation.simulator._finalize`).
+
 Backend selection (``REPRO_SIM_BACKEND`` environment variable):
 
 ``python`` (default)
@@ -63,14 +72,8 @@ import sys
 import sysconfig
 import tempfile
 import warnings
-from ctypes import (
-    CFUNCTYPE,
-    POINTER,
-    c_double,
-    c_int,
-    c_longlong,
-    c_void_p,
-)
+from ctypes import CFUNCTYPE, POINTER, c_double, c_int, c_longlong, c_void_p
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -86,15 +89,9 @@ from repro.distributions.hyperexponential import HyperExponential
 from repro.distributions.lognormal import LogNormal
 from repro.distributions.uniform_dist import Uniform
 from repro.distributions.weibull import Weibull
-from repro.exceptions import (
-    CompiledFallbackWarning,
-    ModelValidationError,
-    SimulationError,
-    WarmupDiscardWarning,
-)
+from repro.exceptions import CompiledFallbackWarning, ModelValidationError, SimulationError
 from repro.simulation.rng import AntitheticSeed, RngStreams, fnv1a64
 from repro.simulation.rng import _TINY as _RNG_TINY
-from repro.simulation.stats import Welford, confidence_halfwidth
 from repro.workload.arrivals import PoissonProcess
 from repro.workload.traces import TraceArrivalProcess
 
@@ -106,7 +103,6 @@ __all__ = [
     "maybe_simulate_compiled",
     "maybe_simulate_fleet_batch",
     "resolve_backend",
-    "warm_kernel",
 ]
 
 _BACKENDS = ("python", "compiled", "auto")
@@ -257,6 +253,7 @@ def build_kernel() -> Path:
 
 
 _SERVICE_CB = CFUNCTYPE(c_double, c_int)
+# (callback slot, batch_out) -> gap
 _ARRIVAL_CB = CFUNCTYPE(c_double, c_int, POINTER(c_longlong))
 # (block_id, buf, cap) -> number of variates written (0 = error/abort)
 _REFILL_CB = CFUNCTYPE(c_longlong, c_int, POINTER(c_double), c_longlong)
@@ -301,6 +298,25 @@ class _ArrivalDesc(ctypes.Structure):
 
 _DISCIPLINES = {"fcfs": 0, "priority_np": 1, "priority_pr": 2, "loss": 3, "ps": 4}
 
+# Raw per-replication accumulators, in the kernel's argument order:
+# name -> (shape given K classes and M stations, dtype).  Row-major
+# [class][station] like the Python engine's tallies; ``scalars`` holds
+# (jobs created, events, warmup-discarded jobs, hit-horizon flag) and
+# ``wf_*`` the per-class Welford delay moments.
+_ACC_FIELDS = {
+    "wait": (lambda K, M: (K, M), np.float64),
+    "sojourn": (lambda K, M: (K, M), np.float64),
+    "visits": (lambda K, M: (K, M), np.int64),
+    "blocked": (lambda K, M: (K, M), np.int64),
+    "offered": (lambda K, M: (K, M), np.int64),
+    "busy": (lambda K, M: (M,), np.float64),
+    "class_busy": (lambda K, M: (M, K), np.float64),
+    "scalars": (lambda K, M: (4,), np.int64),
+    "wf_n": (lambda K, M: (K,), np.int64),
+    "wf_mean": (lambda K, M: (K,), np.float64),
+    "wf_m2": (lambda K, M: (K,), np.float64),
+}
+
 
 def load_kernel() -> ctypes.CDLL:
     """Build (if needed) and load the kernel; cached per process."""
@@ -312,78 +328,48 @@ def load_kernel() -> ctypes.CDLL:
     try:
         path = build_kernel()
         lib = ctypes.CDLL(str(path))
+        # Pointer arguments travel as addresses (c_void_p), so a call can
+        # start at any replication's block of a per-replication array.
         lib.run_kernel.restype = c_int
         lib.run_kernel.argtypes = [
-            c_int,  # K
-            c_int,  # M
-            c_double,  # horizon
-            c_double,  # warmup
-            POINTER(_StationDesc),
-            POINTER(_SamplerDesc),
-            POINTER(_ArrivalDesc),
-            c_int,  # has_routing
-            POINTER(c_void_p),  # routes
-            POINTER(c_int),  # route_len
-            POINTER(c_void_p),  # entry_cum
-            POINTER(c_void_p),  # trans_cum
-            POINTER(c_void_p),  # routing_bg
-            POINTER(c_int),  # routing_block (antithetic uniforms)
-            _REFILL_CB,
-            c_int,  # n_blocks
-            c_longlong,  # block_size
-            c_int,  # dynamic (epoch-yield protocol active)
-            c_longlong,  # n_epochs
-            POINTER(c_double),  # epoch_times
-            POINTER(c_double),  # speeds (shared decision channel)
-            POINTER(c_longlong),  # counts_out (M*K queue counts)
-            _EPOCH_CB,
-            c_double,  # sample_interval
-            _SAMPLE_CB,
-            c_int,  # collect_log
-            _SERVICE_CB,
-            _ARRIVAL_CB,
-            POINTER(c_int),  # abort_flag
-            POINTER(c_double),  # wait_sum
-            POINTER(c_double),  # sojourn_sum
-            POINTER(c_longlong),  # visit_count
-            POINTER(c_longlong),  # n_blocked
-            POINTER(c_longlong),  # offered
-            POINTER(c_double),  # busy_total
-            POINTER(c_double),  # class_busy
-            POINTER(c_longlong),  # out_scalars
-            POINTER(c_void_p),  # delay_ptrs
-            POINTER(c_longlong),  # delay_counts
-            POINTER(c_void_p),  # log_ptrs
-            POINTER(c_longlong),  # log_count
-        ]
-        lib.run_kernel_batch.restype = c_int
-        lib.run_kernel_batch.argtypes = [
             c_int,  # n_reps
             c_int,  # K
             c_int,  # M
             c_double,  # horizon
             c_double,  # warmup
-            POINTER(_StationDesc),
-            POINTER(_SamplerDesc),  # n_reps blocks of M*K
-            POINTER(_ArrivalDesc),  # n_reps blocks of K
-            POINTER(c_void_p),  # routes
-            POINTER(c_int),  # route_len
+            c_void_p,  # station descriptors (M)
+            c_void_p,  # sampler descriptors (n_reps blocks of M*K)
+            c_void_p,  # arrival descriptors (n_reps blocks of K)
+            c_void_p,  # routes (K itineraries) or NULL
+            c_void_p,  # route_len
+            c_void_p,  # entry_cum (routing tables) or NULL
+            c_void_p,  # trans_cum
+            c_void_p,  # routing bit generators (n_reps blocks of K)
+            c_void_p,  # routing block ids (antithetic) or NULL
+            _REFILL_CB,
+            c_int,  # n_blocks
+            c_longlong,  # block_size
+            c_longlong,  # n_epochs
+            c_void_p,  # epoch_times
+            c_void_p,  # speeds (shared decision channel)
+            c_void_p,  # counts_out (M*K queue counts)
+            _EPOCH_CB,  # NULL = static speeds
+            c_double,  # sample_interval
+            _SAMPLE_CB,  # NULL = no queue sampling
             _SERVICE_CB,
             _ARRIVAL_CB,
-            POINTER(c_int),  # abort_flag
-            POINTER(c_double),  # wait_sum
-            POINTER(c_double),  # sojourn_sum
-            POINTER(c_longlong),  # visit_count
-            POINTER(c_longlong),  # n_blocked
-            POINTER(c_longlong),  # offered
-            POINTER(c_double),  # busy_total
-            POINTER(c_double),  # class_busy
-            POINTER(c_longlong),  # out_scalars (n_reps blocks of 4)
-            POINTER(c_longlong),  # wf_n
-            POINTER(c_double),  # wf_mean
-            POINTER(c_double),  # wf_m2
-            POINTER(c_longlong),  # fail_index
+            c_void_p,  # abort_flag
+            *[c_void_p] * len(_ACC_FIELDS),  # accumulators, in _ACC_FIELDS order
+            c_void_p,  # delay_ptrs or NULL
+            c_void_p,  # delay_counts
+            c_void_p,  # log_ptrs or NULL
+            c_void_p,  # log_count
+            c_void_p,  # fail_index
         ]
+        # Unit calls go through run_kernel, fleet chunks through
+        # run_kernel_batch: two names for the one C function, so each
+        # call site stays separately visible to profilers.
+        lib.run_kernel_batch = lib.run_kernel
         lib.k_free.restype = None
         lib.k_free.argtypes = [c_void_p]
     except KernelBuildError as exc:
@@ -418,29 +404,19 @@ def kernel_status() -> dict[str, Any]:
     }
 
 
-def warm_kernel() -> bool:
-    """Pre-build/load the kernel (e.g. from a worker initializer or
-    before timing); returns availability without raising."""
-    return kernel_available()
-
-
 # ---------------------------------------------------------------------------
 # configuration support envelope
 # ---------------------------------------------------------------------------
 
 
-def _unsupported_reason(cluster, seed, epoch_controller) -> str | None:
-    """Why this configuration cannot run on the C kernel (``None`` =
+def _unsupported_reason(cluster) -> str | None:
+    """Why this cluster cannot run on the C kernel (``None`` =
     supported).
 
     Epoch controllers, antithetic seeds, PS tiers and telemetry queue
-    sampling are all inside the envelope now; the remaining exclusion
-    is a tier discipline the kernel has no state machine for.  The
-    ``seed``/``epoch_controller`` parameters stay in the signature so
-    the decision matrix is explicit at the call site (and future
-    exclusions slot in without touching callers).
+    sampling are all inside the envelope; the one exclusion is a tier
+    discipline the kernel has no state machine for.
     """
-    del seed, epoch_controller  # fully supported; kept for the call-site contract
     for tier in cluster.tiers:
         if tier.discipline not in _DISCIPLINES:
             return (
@@ -472,18 +448,28 @@ def _annotate_backend(resolved: str, requested: str, fallback: str | None = None
 # ---------------------------------------------------------------------------
 
 
-def _bitgen_ptr(rng: np.random.Generator) -> int:
-    return ctypes.cast(rng.bit_generator.ctypes.bit_generator, c_void_p).value
+# PyCapsule_GetPointer through a private prototype (the shared
+# ctypes.pythonapi entry keeps its default signature).
+_capsule_pointer = ctypes.PYFUNCTYPE(c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
 
 
-def _sampler_descriptor(dist, rng, keep: list, py_samplers: list) -> _SamplerDesc:
-    """Map one (distribution, stream) pair to a kernel descriptor.
+def _bitgen_ptr(bg: np.random.PCG64) -> int:
+    """Address of the bit generator's ``bitgen_t``, read off its
+    capsule (``bg.ctypes`` builds a fresh ctypes interface per call)."""
+    return _capsule_pointer(bg.capsule, b"BitGenerator")
+
+
+def _sampler_template(dist, keep: list) -> _SamplerDesc:
+    """Map one distribution to a kernel descriptor without its stream.
 
     ``Scaled``/``Shifted`` wrappers unwrap into a post-op chain
     (outermost first; the kernel applies them innermost first, matching
     the Python nesting).  Families with a native NumPy C counterpart
-    draw inside the kernel; anything else falls back to a per-draw
-    Python callback that performs the engine's exact scalar draw.
+    draw inside the kernel once the caller sets ``bg``; anything else
+    is ``_SK_PYCALL``, a per-draw Python callback performing the
+    engine's exact scalar draw of ``dist`` itself.
     """
     post_ops: list[int] = []
     post_vals: list[float] = []
@@ -498,20 +484,11 @@ def _sampler_descriptor(dist, rng, keep: list, py_samplers: list) -> _SamplerDes
         base = base.base
 
     desc = _SamplerDesc()
-    desc.n_post = len(post_ops)
-    if post_ops:
-        op_arr = np.asarray(post_ops, dtype=np.int32)
-        val_arr = np.asarray(post_vals, dtype=np.float64)
-        keep.extend((op_arr, val_arr))
-        desc.post_op = op_arr.ctypes.data_as(POINTER(c_int))
-        desc.post_val = val_arr.ctypes.data_as(POINTER(c_double))
-
     bt = type(base)
     if bt is Deterministic:
         desc.kind = _SK_DET
         desc.p1 = float(base.value)
-        return desc
-    if bt is Exponential:
+    elif bt is Exponential:
         desc.kind = _SK_EXPO
         desc.p1 = 1.0 / base.rate
     elif bt in (Erlang, Gamma):
@@ -540,26 +517,94 @@ def _sampler_descriptor(dist, rng, keep: list, py_samplers: list) -> _SamplerDes
         desc.cdf = cdf.ctypes.data_as(POINTER(c_double))
         desc.scales = scales.ctypes.data_as(POINTER(c_double))
     else:
-        # Per-draw Python callback: the engine's own scalar draw (the
-        # block-sampling contract makes it equal to the BlockCursor
-        # path for block-safe families; non-safe families already use
-        # this exact call).
-        desc.kind = _SK_PYCALL
-        desc.n_post = 0  # wrappers sample through dist directly
-        desc.py_id = len(py_samplers)
-
-        def _draw(sample=dist.sample, rng=rng) -> float:
-            return float(sample(rng))
-
-        py_samplers.append(_draw)
+        desc.kind = _SK_PYCALL  # wrappers sample through dist directly
         return desc
-    desc.bg = _bitgen_ptr(rng)
+    if post_ops:
+        op_arr = np.asarray(post_ops, dtype=np.int32)
+        val_arr = np.asarray(post_vals, dtype=np.float64)
+        keep.extend((op_arr, val_arr))
+        desc.n_post = len(post_ops)
+        desc.post_op = op_arr.ctypes.data_as(POINTER(c_int))
+        desc.post_val = val_arr.ctypes.data_as(POINTER(c_double))
     return desc
+
+
+def _pump_fill(dist, rng):
+    """fill(n) for one antithetic service stream.
+
+    Block-safe families draw one vectorized block (n == the BlockCursor
+    block size, so the draw equals the engine's pregenerated chunk
+    exactly); everything else pumps the engine's own scalar sampler n
+    times.  HyperExponential -- the canonical high-variability demand,
+    so the hot unsafe family -- is vectorized with interleaved
+    uniforms: the scalar sampler consumes (u_select, u_expo) per draw,
+    so one ``random(2n)`` batch sliced even/odd reproduces the exact
+    stream consumption and values (``searchsorted(side="right")``
+    matches ``bisect_right``).
+    """
+    from repro.simulation.simulator import _make_sampler
+
+    if dist.block_sampling_safe:
+        return partial(dist.sample, rng)
+    if isinstance(dist, HyperExponential):
+        cdf = np.asarray(dist._cdf, dtype=np.float64)
+        scales = np.asarray(dist._scales, dtype=np.float64)
+
+        def fill(n):
+            u = rng.random(2 * n)
+            idx = np.searchsorted(cdf, u[0::2], side="right")
+            return scales[idx] * -np.log(np.maximum(1.0 - u[1::2], _RNG_TINY))
+
+        return fill
+    scalar = _make_sampler(dist, rng)
+    return lambda n: [scalar() for _ in range(n)]
+
+
+def _seed_key(seed) -> tuple[Any, tuple]:
+    """``(entropy, spawn_key)`` of a replication seed, validated like
+    :class:`~repro.simulation.rng.RngStreams`."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed.entropy, tuple(seed.spawn_key)
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ModelValidationError(f"seed must be a non-negative integer, got {seed}")
+    return int(seed), ()
+
+
+def _stream_bg(entropy, spawn_key: tuple, name: str) -> np.random.PCG64:
+    """The bit generator behind ``RngStreams(seed).stream(name)``:
+    ``SeedSequence(entropy, spawn_key + (fnv1a64(name),))`` into PCG64,
+    without the Generator wrapper.  ``np.random`` is looked up per
+    call."""
+    child = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key + (fnv1a64(name),))
+    return np.random.PCG64(child)
+
+
+def _take(lib, ptr, n, ctype) -> np.ndarray:
+    """Copy a kernel-owned buffer into NumPy and release it."""
+    out = np.empty(0)
+    if ptr:
+        if n:
+            src = ctypes.cast(int(ptr), POINTER(ctype))
+            out = np.ctypeslib.as_array(src, shape=(int(n),)).copy()
+        lib.k_free(int(ptr))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the compiled run
 # ---------------------------------------------------------------------------
+
+
+def _kernel_for(cluster):
+    """``(library, None)`` when the kernel can run ``cluster``, else
+    ``(None, reason)``."""
+    reason = _unsupported_reason(cluster)
+    if reason is None:
+        try:
+            return load_kernel(), None
+        except KernelBuildError as exc:
+            reason = str(exc)
+    return None, reason
 
 
 def maybe_simulate_compiled(
@@ -576,670 +621,49 @@ def maybe_simulate_compiled(
     epoch_times,
     epoch_controller,
 ):
-    """Run the replication on the C kernel, or return ``None`` to make
-    :func:`~repro.simulation.simulator.simulate` fall back to the
-    Python engine.  ``backend`` is ``"compiled"`` or ``"auto"``
-    (validated by the caller); only ``"compiled"`` warns on fallback.
+    """Run the replication on the C kernel as a batch of one, or return
+    ``None`` to make :func:`~repro.simulation.simulator.simulate` fall
+    back to the Python engine.  ``backend`` is ``"compiled"`` or
+    ``"auto"`` (validated by the caller); only ``"compiled"`` warns on
+    fallback.
     """
-    reason = _unsupported_reason(cluster, seed, epoch_controller)
-    if reason is not None:
+    lib, reason = _kernel_for(cluster)
+    if lib is None:
         if backend == "compiled":
             _warn_fallback(reason)
         _annotate_backend("python", backend, fallback=reason)
         return None
-    try:
-        lib = load_kernel()
-    except KernelBuildError as exc:
-        if backend == "compiled":
-            _warn_fallback(str(exc))
-        _annotate_backend("python", backend, fallback=str(exc))
-        return None
     _annotate_backend("compiled", backend)
-    return _simulate_compiled(
+    from repro.simulation.simulator import _unit_result
+
+    acc, _, ledger, samples, logs = _simulate_reps(
         lib,
+        "run_kernel",
         cluster,
         workload,
         horizon,
         warmup_fraction,
-        seed,
-        arrival_processes,
-        collect_delay_samples,
-        collect_job_log,
-        routing,
-        epoch_times,
-        epoch_controller,
+        [seed],
+        raise_failure=True,
+        arrival_processes=arrival_processes,
+        routing=routing,
+        epoch_times=epoch_times,
+        epoch_controller=epoch_controller,
+        collect_delay_samples=collect_delay_samples,
+        collect_job_log=collect_job_log,
     )
-
-
-def _simulate_compiled(
-    lib,
-    cluster,
-    workload,
-    horizon,
-    warmup_fraction,
-    seed,
-    arrival_processes,
-    collect_delay_samples,
-    collect_job_log,
-    routing,
-    epoch_times,
-    epoch_controller,
-):
-    # Import here: simulator imports this module lazily, so a top-level
-    # import would be circular.
-    from repro.simulation.simulator import (
-        SimulationResult,
-        _build_routes,
-        _build_routing_tables,
-        _make_sampler,
-    )
-
-    k_classes = workload.num_classes
-    m_stations = cluster.num_tiers
-    warmup = warmup_fraction * horizon
-    antithetic = isinstance(seed, AntitheticSeed)
-    dynamic = epoch_controller is not None
-    keep: list[Any] = []  # keep-alive for every array the kernel reads
-    py_samplers: list[Any] = []
-    abort = (c_int * 1)(0)
-    cb_error: list[BaseException] = []
-
-    # Python-refilled variate buffers.  Antithetic (coupled) streams go
-    # through ``np.log``/``np.minimum``, which are not bitwise libm, so
-    # the kernel cannot draw them natively; instead each stream gets a
-    # block id whose fill(n) closure pre-draws n variates with the
-    # engine's own sampling code.  Streams are consumer-private, so
-    # drawing ahead yields the exact sequence the engine would see.
-    block_fills: list[Any] = []
-
-    def _new_block(fill) -> int:
-        block_fills.append(fill)
-        return len(block_fills) - 1
-
-    def _refill(block_id: int, buf, cap: int) -> int:
-        try:
-            arr = np.ascontiguousarray(block_fills[block_id](int(cap)), dtype=np.float64)
-            ctypes.memmove(buf, arr.ctypes.data, arr.size * 8)
-            return arr.size
-        except BaseException as exc:  # propagate through the abort flag
-            cb_error.append(exc)
-            abort[0] = 1
-            return 0
-
-    def _pump_fill(dist, rng):
-        """fill(n) for one service stream: block-safe families draw one
-        vectorized block (n == the BlockCursor block size, so the draw
-        equals the engine's pregenerated chunk exactly); everything else
-        pumps the engine's own scalar sampler n times.
-
-        HyperExponential — the canonical high-variability demand, so
-        the hot unsafe family — is vectorized with interleaved
-        uniforms: the scalar sampler consumes (u_select, u_expo) per
-        draw, so one ``random(2n)`` batch sliced even/odd reproduces
-        the exact stream consumption and values (``random(2n)``
-        advances the bit generator identically to 2n scalar calls,
-        and ``searchsorted(side="right")`` matches ``bisect_right``).
-        """
-        if dist.block_sampling_safe:
-
-            def fill(n, sample=dist.sample, rng=rng):
-                return sample(rng, n)
-
-        elif isinstance(dist, HyperExponential):
-            cdf = np.asarray(dist._cdf, dtype=np.float64)
-            hyper_scales = np.asarray(dist._scales, dtype=np.float64)
-
-            def fill(n, cdf=cdf, hyper_scales=hyper_scales, rng=rng):
-                u = rng.random(2 * n)
-                idx = np.searchsorted(cdf, u[0::2], side="right")
-                w = 1.0 - u[1::2]
-                return hyper_scales[idx] * -np.log(np.maximum(w, _RNG_TINY))
-
-        else:
-            scalar = _make_sampler(dist, rng)
-
-            def fill(n, scalar=scalar):
-                return [scalar() for _ in range(n)]
-
-        return fill
-
-    with obs.span("sim.setup", classes=k_classes, stations=m_stations, horizon=horizon):
-        streams = RngStreams(seed)
-        keep.append(streams)
-
-        routing_block = None
-        if routing is None:
-            routes = _build_routes(cluster)
-            has_routing = 0
-            route_arrays = [np.asarray(r, dtype=np.int32) for r in routes]
-            keep.extend(route_arrays)
-            routes_v = (c_void_p * k_classes)(
-                *[r.ctypes.data_as(c_void_p).value for r in route_arrays]
-            )
-            route_len = (c_int * k_classes)(*[r.size for r in route_arrays])
-            entry_v = trans_v = routing_bg = None
-        else:
-            tables = _build_routing_tables(cluster, routing)
-            has_routing = 1
-            routes_v = route_len = None
-            entry_arrays = [
-                np.ascontiguousarray(tables[k][0], dtype=np.float64)
-                for k in range(k_classes)
-            ]
-            trans_arrays = [
-                np.ascontiguousarray(np.stack(tables[k][1]), dtype=np.float64)
-                for k in range(k_classes)
-            ]
-            keep.extend(entry_arrays)
-            keep.extend(trans_arrays)
-            entry_v = (c_void_p * k_classes)(
-                *[a.ctypes.data_as(c_void_p).value for a in entry_arrays]
-            )
-            trans_v = (c_void_p * k_classes)(
-                *[a.ctypes.data_as(c_void_p).value for a in trans_arrays]
-            )
-            if antithetic:
-                # Mirrored uniforms (min(1-u, 1^-) per draw) cannot come
-                # off the raw bit generator; pre-draw them through the
-                # coupled generators instead (Generator.random is the
-                # engine's _draw_uniform block draw).
-                routing_bg = None
-                block_ids = []
-                for k in range(k_classes):
-                    rng = streams.stream(f"routing/{k}")
-
-                    def _uniform_fill(n, rng=rng):
-                        return rng.random(n)
-
-                    block_ids.append(_new_block(_uniform_fill))
-                routing_block = (c_int * k_classes)(*block_ids)
-            else:
-                routing_bg = (c_void_p * k_classes)(
-                    *[_bitgen_ptr(streams.stream(f"routing/{k}")) for k in range(k_classes)]
-                )
-
-        if arrival_processes is None:
-            arrivals = [PoissonProcess(c.arrival_rate) for c in workload.classes]
-        else:
-            if len(arrival_processes) != k_classes:
-                raise ModelValidationError(
-                    f"expected {k_classes} arrival processes, got {len(arrival_processes)}"
-                )
-            arrivals = [p.fresh() for p in arrival_processes]
-        arrival_desc = (_ArrivalDesc * k_classes)()
-        arrival_pull: list[Any] = [None] * k_classes
-        for k, proc in enumerate(arrivals):
-            rng = streams.stream(f"arrivals/{k}")
-            if type(proc) is PoissonProcess and not antithetic:
-                arrival_desc[k].kind = _SK_EXPO
-                arrival_desc[k].scale = 1.0 / proc.rate
-                arrival_desc[k].bg = _bitgen_ptr(rng)
-            elif type(proc) is PoissonProcess:
-                # Coupled exponential gaps: same vectorized draw the
-                # engine's BlockCursor makes, one block per refill.
-                arrival_desc[k].kind = _SK_PYBLOCK
-
-                def _gap_fill(n, rng=rng, scale=1.0 / proc.rate):
-                    return rng.exponential(scale, n)
-
-                arrival_desc[k].py_id = _new_block(_gap_fill)
-            elif type(proc) is TraceArrivalProcess:
-                # RNG-free timestamp replay runs natively in C.
-                ts = np.ascontiguousarray(proc.timestamps, dtype=np.float64)
-                keep.append(ts)
-                arrival_desc[k].kind = _SK_TRACE
-                arrival_desc[k].ts = ts.ctypes.data_as(POINTER(c_double))
-                arrival_desc[k].n_ts = ts.size
-                arrival_desc[k].cursor = 0
-                arrival_desc[k].clock = 0.0
-            else:
-                arrival_desc[k].kind = _SK_PYCALL
-
-                def _pull(proc=proc, rng=rng):
-                    return proc.next_arrival(rng)
-
-                arrival_pull[k] = _pull
-
-        station_desc = (_StationDesc * m_stations)()
-        sampler_desc = (_SamplerDesc * (m_stations * k_classes))()
-        for i, tier in enumerate(cluster.tiers):
-            if tier.discipline == "ps" and tier.capacity is not None:
-                # The Python engine rejects this during station setup —
-                # after backend dispatch — so the compiled path must
-                # raise the identical error itself.
-                raise ModelValidationError(
-                    f"tier {tier.name!r}: finite buffers are not supported for PS tiers"
-                )
-            station_desc[i].servers = tier.servers
-            station_desc[i].discipline = _DISCIPLINES[tier.discipline]
-            station_desc[i].capacity = -1 if tier.capacity is None else tier.capacity
-            for k in range(k_classes):
-                rng = streams.stream(f"service/{i}/{k}")
-                # Under dynamic speed control the sampler yields the
-                # *demand* (work at speed 1) and the kernel divides by
-                # the current speed at pull time, mirroring
-                # _make_dynamic_sampler's base()/cell[0].
-                if dynamic:
-                    dist = tier.demands[k]
-                else:
-                    dist = tier.demands[k].scaled(1.0 / tier.speed)
-                keep.append(dist)
-                if antithetic:
-                    desc = _SamplerDesc()
-                    desc.kind = _SK_PYBLOCK
-                    desc.py_id = _new_block(_pump_fill(dist, rng))
-                    sampler_desc[i * k_classes + k] = desc
-                else:
-                    sampler_desc[i * k_classes + k] = _sampler_descriptor(
-                        dist, rng, keep, py_samplers
-                    )
-
-        # outputs
-        wait_np = np.zeros((k_classes, m_stations))
-        sojourn_np = np.zeros((k_classes, m_stations))
-        visit_np = np.zeros((k_classes, m_stations), dtype=np.int64)
-        blocked_np = np.zeros((k_classes, m_stations), dtype=np.int64)
-        offered_np = np.zeros((k_classes, m_stations), dtype=np.int64)
-        busy_np = np.zeros(m_stations)
-        class_busy_np = np.zeros((m_stations, k_classes))
-        out_scalars = np.zeros(4, dtype=np.int64)
-        delay_ptrs = (c_void_p * k_classes)()
-        delay_counts = (c_longlong * k_classes)()
-        log_ptrs = (c_void_p * 4)()
-        log_count = c_longlong(0)
-
-        # --- epoch-boundary yield protocol (dynamic speed control) ---
-        # The kernel pauses at each scheduled boundary, publishes the
-        # per-tier queue counts (counts_np) and closed busy totals
-        # (busy_np / class_busy_np), and calls _epoch_decide; a positive
-        # return applies the clipped speeds written into speeds_arr via
-        # the work-preserving remaining-time rescale, in C.
-        epoch_sched = None
-        counts_np = None
-        speeds_arr = None
-        epoch_cb = _EPOCH_CB()  # NULL function pointer when static
-        n_epochs = 0
-        if dynamic:
-            epoch_sched = np.ascontiguousarray(epoch_times, dtype=np.float64)
-            n_epochs = int(epoch_sched.size)
-            counts_np = np.zeros((m_stations, k_classes), dtype=np.int64)
-            cur_speeds = [float(tier.speed) for tier in cluster.tiers]
-            speeds_arr = np.array(cur_speeds)
-            tier_power = [(t.spec.power.kappa, t.spec.power.alpha) for t in cluster.tiers]
-            speed_bounds = [(t.spec.min_speed, t.spec.max_speed) for t in cluster.tiers]
-            busy_mark = [0.0] * m_stations
-            class_busy_mark = [[0.0] * k_classes for _ in range(m_stations)]
-            epoch_trace: list[dict[str, Any]] = []
-            energy = {"dyn": 0.0}
-            per_class_dyn_energy = np.zeros(k_classes)
-
-            def _accrue_segments(tb: float) -> None:
-                """Bill busy time closed at ``tb`` (already flushed into
-                busy_np/class_busy_np by the kernel) at each segment's
-                current speed — the engine's exact accumulation order
-                and expression shapes."""
-                for i in range(m_stations):
-                    kappa, alpha = tier_power[i]
-                    p_dyn = kappa * cur_speeds[i] ** alpha
-                    bt = float(busy_np[i])
-                    delta = bt - busy_mark[i]
-                    if delta > 0.0:
-                        energy["dyn"] += p_dyn * delta
-                        busy_mark[i] = bt
-                    mark = class_busy_mark[i]
-                    for k in range(k_classes):
-                        cbk = float(class_busy_np[i, k])
-                        dk = cbk - mark[k]
-                        if dk > 0.0:
-                            per_class_dyn_energy[k] += p_dyn * dk
-                            mark[k] = cbk
-
-            def _epoch_decide(tb: float) -> int:
-                try:
-                    _accrue_segments(tb)
-                    # One counts array per epoch, shared between the
-                    # controller and the trace row (the engine passes
-                    # the trace's own array to the controller).
-                    counts = counts_np.copy()
-                    speeds_now = np.array(cur_speeds)
-                    new_speeds = epoch_controller(tb, counts, speeds_now.copy())
-                    apply = 0
-                    if new_speeds is not None:
-                        new_arr = np.asarray(new_speeds, dtype=float)
-                        if new_arr.shape != (m_stations,):
-                            raise ModelValidationError(
-                                f"epoch controller must return {m_stations} speeds, "
-                                f"got shape {new_arr.shape}"
-                            )
-                        for i in range(m_stations):
-                            lo, hi = speed_bounds[i]
-                            s_new = min(max(float(new_arr[i]), lo), hi)
-                            s_old = cur_speeds[i]
-                            if s_new != s_old:
-                                ratio = s_old / s_new
-                                if ratio <= 0.0:
-                                    raise SimulationError(
-                                        f"speed rescale ratio must be positive, got {ratio}"
-                                    )
-                                cur_speeds[i] = s_new
-                                speeds_now[i] = s_new
-                                apply = 1
-                            speeds_arr[i] = s_new
-                    epoch_trace.append(
-                        {
-                            "t": tb,
-                            "queues": counts,
-                            "speeds": speeds_now,
-                            "dynamic_energy": energy["dyn"],
-                        }
-                    )
-                    obs.event(
-                        "sim.epoch",
-                        epoch=len(epoch_trace) - 1,
-                        t=tb,
-                        queues=counts,
-                        speeds=speeds_now,
-                        dynamic_energy=energy["dyn"],
-                    )
-                    return apply
-                except BaseException as exc:
-                    cb_error.append(exc)
-                    abort[0] = 1
-                    return -1
-
-            epoch_cb = _EPOCH_CB(_epoch_decide)
-
-        # --- buffered queue-length sampling -------------------------
-        # The kernel records (t, populations, busy) rows and batch-
-        # flushes them here at epoch boundaries and at end of run; the
-        # replay preserves the engine's exact gauge/event emission
-        # order, so telemetry output is byte-identical.
-        tel = obs.TELEMETRY
-        sample_interval = (
-            tel.queue_sample_interval if (tel.enabled and tel.sample_queues) else 0.0
-        )
-        sample_cb = _SAMPLE_CB()  # NULL function pointer when sampling is off
-        if sample_interval > 0.0:
-            gauge = tel.metrics.gauge
-            tracer_event = tel.tracer.event
-
-            def _flush_samples(ts_ptr, vals_ptr, n_rows: int) -> int:
-                try:
-                    for r in range(int(n_rows)):
-                        base = r * 2 * m_stations
-                        pops = [int(vals_ptr[base + i]) for i in range(m_stations)]
-                        busy = [
-                            int(vals_ptr[base + m_stations + i]) for i in range(m_stations)
-                        ]
-                        for i in range(m_stations):
-                            gauge(f"sim.tier.{i}.population").set(pops[i])
-                            gauge(f"sim.tier.{i}.busy_servers").set(busy[i])
-                        tracer_event(
-                            "sim.queue_sample",
-                            t=float(ts_ptr[r]),
-                            population=pops,
-                            busy=busy,
-                        )
-                    return 0
-                except BaseException as exc:
-                    cb_error.append(exc)
-                    abort[0] = 1
-                    return -1
-
-            sample_cb = _SAMPLE_CB(_flush_samples)
-
-        refill_cb = _REFILL_CB(_refill) if block_fills else _REFILL_CB()
-
-        def _service_cb(sampler_id: int) -> float:
-            try:
-                return py_samplers[sampler_id]()
-            except BaseException as exc:  # propagate through the abort flag
-                cb_error.append(exc)
-                abort[0] = 1
-                return 0.0
-
-        def _arrival_cb(cls: int, batch_out) -> float:
-            try:
-                gap, batch = arrival_pull[cls]()
-                batch_out[0] = int(batch)
-                return float(gap)
-            except BaseException as exc:
-                cb_error.append(exc)
-                abort[0] = 1
-                return 0.0
-
-        service_cb = _SERVICE_CB(_service_cb)
-        arrival_cb = _ARRIVAL_CB(_arrival_cb)
-
-    def _as_ll(a):
-        return a.ctypes.data_as(POINTER(c_longlong))
-
-    def _as_d(a):
-        return a.ctypes.data_as(POINTER(c_double))
-
-    with obs.span("sim.event_loop", horizon=horizon, backend="compiled"):
-        rc = lib.run_kernel(
-            k_classes,
-            m_stations,
-            float(horizon),
-            float(warmup),
-            station_desc,
-            sampler_desc,
-            arrival_desc,
-            has_routing,
-            routes_v,
-            route_len,
-            entry_v,
-            trans_v,
-            routing_bg,
-            routing_block,
-            refill_cb,
-            len(block_fills),
-            _BLOCK_SIZE,
-            1 if dynamic else 0,
-            n_epochs,
-            None if epoch_sched is None else epoch_sched.ctypes.data_as(POINTER(c_double)),
-            None if speeds_arr is None else speeds_arr.ctypes.data_as(POINTER(c_double)),
-            None if counts_np is None else counts_np.ctypes.data_as(POINTER(c_longlong)),
-            epoch_cb,
-            float(sample_interval),
-            sample_cb,
-            1 if collect_job_log else 0,
-            service_cb,
-            arrival_cb,
-            abort,
-            _as_d(wait_np),
-            _as_d(sojourn_np),
-            _as_ll(visit_np),
-            _as_ll(blocked_np),
-            _as_ll(offered_np),
-            _as_d(busy_np),
-            _as_d(class_busy_np),
-            _as_ll(out_scalars),
-            delay_ptrs,
-            delay_counts,
-            log_ptrs,
-            ctypes.byref(log_count),
-        )
-    del keep  # the kernel has returned; arrays may be collected now
-    if rc == _RC_ABORT:
-        if cb_error:
-            raise cb_error[0]
-        raise SimulationError("compiled kernel aborted without a recorded error")
-    if rc == _RC_NOMEM:
-        raise MemoryError("compiled simulation kernel ran out of memory")
-    if rc == _RC_INVARIANT:
-        raise SimulationError("completion with no busy server (compiled kernel)")
-
     with obs.span("sim.finalize"):
-        # Copy the kernel-owned growable buffers, then release them.
-        delay_buf: list[np.ndarray] = []
-        for k in range(k_classes):
-            n = delay_counts[k]
-            if n:
-                src = ctypes.cast(delay_ptrs[k], POINTER(c_double))
-                delay_buf.append(np.ctypeslib.as_array(src, shape=(int(n),)).copy())
-            else:
-                delay_buf.append(np.empty(0))
-            if delay_ptrs[k]:
-                lib.k_free(delay_ptrs[k])
-        job_log = None
-        if collect_job_log:
-            n = int(log_count.value)
-            job_log = np.empty(
-                n,
-                dtype=[
-                    ("jid", np.int64),
-                    ("cls", np.int32),
-                    ("arrival", float),
-                    ("exit", float),
-                ],
-            )
-            if n:
-                job_log["jid"] = np.ctypeslib.as_array(
-                    ctypes.cast(log_ptrs[0], POINTER(c_longlong)), shape=(n,)
-                )
-                job_log["cls"] = np.ctypeslib.as_array(
-                    ctypes.cast(log_ptrs[1], POINTER(c_int)), shape=(n,)
-                )
-                job_log["arrival"] = np.ctypeslib.as_array(
-                    ctypes.cast(log_ptrs[2], POINTER(c_double)), shape=(n,)
-                )
-                job_log["exit"] = np.ctypeslib.as_array(
-                    ctypes.cast(log_ptrs[3], POINTER(c_double)), shape=(n,)
-                )
-        for p in log_ptrs:
-            if p:
-                lib.k_free(p)
-
-        # Welford flush: same scalar recurrence over the same values in
-        # the same order as the Python engine (.tolist() hands the
-        # accumulator the exact Python-float sequence it sees there).
-        e2e = [Welford() for _ in range(k_classes)]
-        for k in range(k_classes):
-            e2e[k].add_batch(delay_buf[k].tolist())
-
-        jid = int(out_scalars[0])
-        n_events = int(out_scalars[1])
-        n_warmup_discarded = int(out_scalars[2])
-
-        window = horizon - warmup
-        busy_list = [float(b) for b in busy_np]
-        class_busy_list = [[float(x) for x in row] for row in class_busy_np]
-        utilizations = np.array(
-            [
-                busy_list[i] / (tier.servers * window)
-                for i, tier in enumerate(cluster.tiers)
-            ]
+        return _unit_result(
+            cluster,
+            workload,
+            horizon,
+            warmup_fraction * horizon,
+            acc,
+            ledger=ledger,
+            delay_samples=samples[0] if samples else None,
+            job_log=logs[0] if logs else None,
+            stacklevel=4,
         )
-
-        if dynamic:
-            # The kernel wrote horizon-closed busy totals into
-            # busy_np/class_busy_np; billing them closes the last
-            # constant-speed segment exactly like the engine's final
-            # _accrue_segments(horizon).
-            _accrue_segments(horizon)
-            dynamic_power = energy["dyn"] / window
-            per_class_dyn_energy_rate = per_class_dyn_energy / window
-        else:
-            dynamic_power = 0.0
-            per_class_dyn_energy_rate = np.zeros(k_classes)
-            for i, tier in enumerate(cluster.tiers):
-                p_dyn = tier.spec.power.kappa * tier.speed**tier.spec.power.alpha
-                dynamic_power += p_dyn * busy_list[i] / window
-                for k in range(k_classes):
-                    per_class_dyn_energy_rate[k] += p_dyn * class_busy_list[i][k] / window
-        idle_power = float(sum(t.servers * t.spec.power.idle for t in cluster.tiers))
-        average_power = idle_power + dynamic_power
-
-        n_completed = np.array([w.n for w in e2e], dtype=np.int64)
-        delays = np.array([w.mean for w in e2e])
-        stds = np.array([w.std for w in e2e])
-        cis = np.array([confidence_halfwidth(w.std, w.n) for w in e2e])
-
-        throughput = n_completed / window
-        with np.errstate(divide="ignore", invalid="ignore"):
-            per_class_dyn = np.where(
-                throughput > 0,
-                per_class_dyn_energy_rate / np.maximum(throughput, 1e-300),
-                np.nan,
-            )
-        total_throughput = float(throughput.sum())
-        energy_per_request = (
-            average_power / total_throughput if total_throughput > 0 else float("nan")
-        )
-
-        station_completions = visit_np.copy()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            station_waits = np.where(
-                visit_np > 0, wait_np / np.maximum(visit_np, 1), np.nan
-            )
-            station_sojourns = np.where(
-                visit_np > 0, sojourn_np / np.maximum(visit_np, 1), np.nan
-            )
-
-    n_counted_total = int(n_completed.sum())
-    n_finished_total = n_counted_total + n_warmup_discarded
-    if n_finished_total > 0 and n_warmup_discarded > 0.5 * n_finished_total:
-        discard_fraction = n_warmup_discarded / n_finished_total
-        warnings.warn(
-            WarmupDiscardWarning(
-                f"warmup window ({warmup:g} of horizon {horizon:g}) discarded "
-                f"{n_warmup_discarded} of {n_finished_total} completed jobs "
-                f"({discard_fraction:.0%}); delay statistics rest on only "
-                f"{n_counted_total} jobs — lengthen the horizon or shrink "
-                f"warmup_fraction"
-            ),
-            stacklevel=3,
-        )
-        obs.event(
-            "sim.warmup_discard",
-            warmup=warmup,
-            horizon=horizon,
-            n_discarded=n_warmup_discarded,
-            n_counted=n_counted_total,
-            discard_fraction=discard_fraction,
-        )
-    obs.counter("sim.events").add(n_events)
-    obs.counter("sim.jobs_created").add(jid)
-    obs.counter("sim.jobs_counted").add(n_counted_total)
-
-    meta: dict[str, Any] = {
-        "n_jobs_created": jid,
-        "n_events": n_events,
-        "n_warmup_discarded": n_warmup_discarded,
-        "station_completions": station_completions,
-        "n_blocked": blocked_np.copy(),
-        "n_offered": offered_np.copy(),
-    }
-    if dynamic:
-        meta["epoch_trace"] = epoch_trace
-        meta["final_speeds"] = np.array(cur_speeds)
-        meta["dynamic_energy"] = float(energy["dyn"])
-
-    return SimulationResult(
-        class_names=tuple(workload.names),
-        n_completed=n_completed,
-        delays=delays,
-        delay_std=stds,
-        delay_ci=cis,
-        station_waits=station_waits,
-        station_sojourns=station_sojourns,
-        utilizations=utilizations,
-        average_power=average_power,
-        energy_per_request=energy_per_request,
-        per_class_dynamic_energy=per_class_dyn,
-        horizon=horizon,
-        warmup=warmup,
-        meta=meta,
-        delay_samples=(delay_buf if collect_delay_samples else None),
-        job_log=job_log,
-    )
-
-
-# ---------------------------------------------------------------------------
-# batched fleet dispatch
-# ---------------------------------------------------------------------------
 
 
 def maybe_simulate_fleet_batch(
@@ -1250,331 +674,408 @@ def maybe_simulate_fleet_batch(
     warmup_fraction: float,
     seeds: list,
 ):
-    """Run a batch of static replications in one kernel call, or return
-    ``None`` so the fleet runner falls back to unit-at-a-time dispatch
-    (which itself picks the best available engine and emits the usual
-    fallback warnings).
+    """Run a chunk of replications of one scenario in one kernel call,
+    or return ``None`` (kernel unavailable or an unknown discipline) so
+    the fleet runner falls back to unit-at-a-time dispatch, which picks
+    the engine and emits the usual fallback warnings itself.
 
-    The batch path covers exactly the fleet configuration space: fixed
-    routes, default Poisson arrivals, no epoch controller, no
-    antithetic seeds, no per-job delay samples or job logs.  Telemetry
-    queue sampling needs the unit path (the batch kernel skips the
-    sampling tap), so it returns ``None`` there too.
-
-    Returns ``(rows, failures)``: ``rows[b]`` is the metric dict for
-    ``seeds[b]`` (the fleet row minus the unit/scenario/replication/
-    wall_s bookkeeping columns) or ``None`` if that replication failed;
-    ``failures`` lists ``(index, "ExcType: message")`` pairs formatted
-    exactly like the fleet's per-unit failure records.
+    Returns ``(fields, failures)``: ``fields`` is the shared finalize's
+    per-replication metrics for the replications that succeeded, with
+    ``fields["index"]`` their positions in ``seeds``; ``failures`` lists
+    ``(index, "ExcType: message")`` pairs formatted exactly like the
+    fleet's per-unit failure records.  A scenario-level rejection
+    (validation, instability) raises, with the message ``simulate()``
+    would raise per unit.
     """
-    if _unsupported_reason(cluster, None, None) is not None:
-        return None
-    if any(isinstance(s, AntitheticSeed) for s in seeds):
-        return None
-    tel = obs.TELEMETRY
-    if tel.enabled and tel.sample_queues and tel.queue_sample_interval > 0.0:
-        return None
-    try:
-        lib = load_kernel()
-    except KernelBuildError:
+    lib, _reason = _kernel_for(cluster)
+    if lib is None:
         return None
     _annotate_backend("compiled", backend)
-    return _simulate_fleet_batch(lib, cluster, workload, horizon, warmup_fraction, seeds)
-
-
-def _simulate_fleet_batch(lib, cluster, workload, horizon, warmup_fraction, seeds):
     from repro.simulation.simulator import (
-        _build_routes,
+        _finalize,
         _validate_basic_inputs,
         _validate_stability,
     )
 
-    # The same validation gate simulate() applies per unit, with the
-    # same messages — deterministic in the scenario, so raising once
-    # for the whole batch is observably identical to raising per unit
-    # (the fleet runner fans the message out to every unit).
     _validate_basic_inputs(cluster, workload, horizon, warmup_fraction)
     _validate_stability(cluster, workload)
+    acc, failures, *_ = _simulate_reps(
+        lib,
+        "run_kernel_batch",
+        cluster,
+        workload,
+        horizon,
+        warmup_fraction,
+        seeds,
+        raise_failure=False,
+    )
+    with obs.span("sim.finalize", reps=len(seeds)):
+        failed = {b for b, _ in failures}
+        ok = np.array([b for b in range(len(seeds)) if b not in failed], dtype=np.intp)
+        if failed:
+            acc = {name: values[ok] for name, values in acc.items()}
+        fields = _finalize(cluster, horizon, warmup_fraction * horizon, acc, stacklevel=3)
+    fields["index"] = ok
+    return fields, failures
 
-    k_classes = workload.num_classes
-    m_stations = cluster.num_tiers
+
+def _simulate_reps(
+    lib,
+    entry: str,
+    cluster,
+    workload,
+    horizon: float,
+    warmup_fraction: float,
+    seeds: list,
+    *,
+    raise_failure: bool,
+    arrival_processes=None,
+    routing=None,
+    epoch_times=None,
+    epoch_controller=None,
+    collect_delay_samples: bool = False,
+    collect_job_log: bool = False,
+):
+    """The one descriptor builder and kernel-call loop.
+
+    Builds routes (or routing tables), station descriptors and sampler
+    templates once, derives each seed's streams, and runs the kernel
+    through ``lib.<entry>`` (looked up per call) over every seed.  A
+    failing replication costs only itself: the loop resumes on fresh
+    kernel state after it, unless ``raise_failure`` re-raises it.
+
+    Returns ``(acc, failures, ledger, delay_samples, job_logs)``: the
+    :data:`_ACC_FIELDS` accumulators with a leading replication axis,
+    ``(index, "ExcType: message")`` failure pairs, the epoch
+    controller's speed ledger (or ``None``), and per-replication delay
+    samples and job logs (``None`` unless collected).
+    """
+    # Import here: simulator imports this module, so a top-level import
+    # would be circular.
+    from repro.simulation.simulator import (
+        _JOB_LOG_DTYPE,
+        _build_routes,
+        _build_routing_tables,
+        _emit_queue_sample,
+        _SpeedLedger,
+    )
+
+    K = workload.num_classes
+    M = cluster.num_tiers
+    R = len(seeds)
     warmup = warmup_fraction * horizon
-    n_reps = len(seeds)
+    antithetic = any(isinstance(s, AntitheticSeed) for s in seeds)
+    if (antithetic or epoch_controller is not None) and R != 1:
+        raise ModelValidationError(
+            "antithetic seeds and epoch controllers keep per-run Python state; "
+            "pass one seed per call"
+        )
     keep: list[Any] = []  # keep-alive for every object the kernel reads
-    py_samplers: list[Any] = []
     abort = (c_int * 1)(0)
     cb_error: list[BaseException] = []
 
-    def _as_ll(a):
-        return a.ctypes.data_as(POINTER(c_longlong))
+    def guarded(fn, failed):
+        """Callback wrapper: an exception aborts the kernel and is
+        re-raised (or recorded) once the kernel returns."""
 
-    def _as_d(a):
-        return a.ctypes.data_as(POINTER(c_double))
+        def call(*args):
+            try:
+                return fn(*args)
+            except BaseException as exc:
+                cb_error.append(exc)
+                abort[0] = 1
+                return failed
 
-    with obs.span(
-        "sim.batch_setup", classes=k_classes, stations=m_stations, reps=n_reps
-    ):
-        routes = _build_routes(cluster)
-        route_arrays = [np.asarray(r, dtype=np.int32) for r in routes]
-        keep.extend(route_arrays)
-        routes_v = (c_void_p * k_classes)(
-            *[r.ctypes.data_as(c_void_p).value for r in route_arrays]
-        )
-        route_len = (c_int * k_classes)(*[r.size for r in route_arrays])
+        return call
 
-        # Station geometry and the speed-scaled demand distributions are
-        # shared by every replication; only the per-seed bit generators
-        # differ, so the descriptor template work happens once.
-        station_desc = (_StationDesc * m_stations)()
+    # Python-refilled variate buffers: streams the kernel cannot draw
+    # natively (antithetic coupled generators go through np.log, which
+    # is not bitwise libm) get a block id whose fill(n) pre-draws n
+    # variates with the engine's own sampling code.  Streams are
+    # consumer-private, so drawing ahead yields the exact sequence the
+    # engine would see.
+    block_fills: list[Any] = []
+    py_samplers: list[Any] = []  # per-draw service callbacks (_SK_PYCALL)
+    arrival_pulls: list[Any] = []  # per-draw arrival callbacks (_SK_PYCALL)
+
+    def new_block(fill) -> int:
+        block_fills.append(fill)
+        return len(block_fills) - 1
+
+    with obs.span("sim.setup", classes=K, stations=M, horizon=horizon, reps=R):
+        entry_v = trans_v = routes_v = route_len = None
+        if routing is None:
+            arrays = [np.asarray(r, dtype=np.int32) for r in _build_routes(cluster)]
+            routes_v = (c_void_p * K)(*[a.ctypes.data for a in arrays])
+            route_len = (c_int * K)(*[a.size for a in arrays])
+        else:
+            tables = _build_routing_tables(cluster, routing)
+            entry_cum = [np.ascontiguousarray(e, dtype=np.float64) for e, _ in tables]
+            trans_cum = [np.ascontiguousarray(np.stack(t), dtype=np.float64) for _, t in tables]
+            arrays = entry_cum + trans_cum
+            entry_v = (c_void_p * K)(*[a.ctypes.data for a in entry_cum])
+            trans_v = (c_void_p * K)(*[a.ctypes.data for a in trans_cum])
+        keep.extend(arrays)
+
+        if arrival_processes is None:
+            procs = [PoissonProcess(c.arrival_rate) for c in workload.classes]
+        elif len(arrival_processes) != K:
+            raise ModelValidationError(
+                f"expected {K} arrival processes, got {len(arrival_processes)}"
+            )
+        else:
+            procs = [p.fresh() for p in arrival_processes]
+        arrival_tpl = (_ArrivalDesc * K)()
+        for k, proc in enumerate(procs):
+            if type(proc) is PoissonProcess:
+                arrival_tpl[k].kind = _SK_PYBLOCK if antithetic else _SK_EXPO
+                arrival_tpl[k].scale = 1.0 / proc.rate
+            elif type(proc) is TraceArrivalProcess:
+                # RNG-free timestamp replay runs natively in C.
+                ts = np.ascontiguousarray(proc.timestamps, dtype=np.float64)
+                keep.append(ts)
+                arrival_tpl[k].kind = _SK_TRACE
+                arrival_tpl[k].ts = ts.ctypes.data_as(POINTER(c_double))
+                arrival_tpl[k].n_ts = ts.size
+            else:
+                arrival_tpl[k].kind = _SK_PYCALL
+        arrival_kinds = [d.kind for d in arrival_tpl]
+
+        station_desc = (_StationDesc * M)()
         dists: list[list[Any]] = []
         for i, tier in enumerate(cluster.tiers):
             if tier.discipline == "ps" and tier.capacity is not None:
+                # The Python engine rejects this during station setup,
+                # so the compiled path raises the identical error.
                 raise ModelValidationError(
                     f"tier {tier.name!r}: finite buffers are not supported for PS tiers"
                 )
             station_desc[i].servers = tier.servers
             station_desc[i].discipline = _DISCIPLINES[tier.discipline]
             station_desc[i].capacity = -1 if tier.capacity is None else tier.capacity
-            row = [tier.demands[k].scaled(1.0 / tier.speed) for k in range(k_classes)]
-            dists.append(row)
-            keep.extend(row)
-
-        arrival_procs = [PoissonProcess(c.arrival_rate) for c in workload.classes]
-        arrival_scales = [1.0 / p.rate for p in arrival_procs]
-
-        # Per-stream bit generators, derived exactly as
-        # RngStreams.stream does — SeedSequence(entropy, spawn_key +
-        # (fnv1a64(name),)) feeding PCG64 — but without the Generator
-        # wrapper or per-call hashing: the name digests are fixed
-        # across the batch, and the kernel only needs the bitgen_t
-        # pointer. Descriptor *templates* (distribution parameters,
-        # post-op chains) are built once per (station, class) and
-        # struct-copied per replication with only the stream pointer
-        # patched; families needing the per-draw Python callback get a
-        # fresh closure per replication over that replication's stream.
-        arrival_hashes = [fnv1a64(f"arrivals/{k}") for k in range(k_classes)]
-        service_hashes = [
-            [fnv1a64(f"service/{i}/{k}") for k in range(k_classes)]
-            for i in range(m_stations)
-        ]
-        template_rng = np.random.Generator(np.random.PCG64(0))
-        templates: list[list[_SamplerDesc | None]] = []
-        for i in range(m_stations):
-            row_t: list[_SamplerDesc | None] = []
-            for k in range(k_classes):
-                t = _sampler_descriptor(dists[i][k], template_rng, keep, [])
-                row_t.append(None if t.kind == _SK_PYCALL else t)
-            templates.append(row_t)
-
-        def _stream_bg(entropy, spawn_key: tuple, name_hash: int):
-            child = np.random.SeedSequence(
-                entropy=entropy, spawn_key=spawn_key + (name_hash,)
+            # Under dynamic speed control the sampler yields the demand
+            # (work at speed 1) and the kernel divides by the current
+            # speed at pull time, as _make_dynamic_sampler does.
+            dists.append(
+                [
+                    d if epoch_controller is not None else d.scaled(1.0 / tier.speed)
+                    for d in tier.demands
+                ]
             )
-            bg = np.random.PCG64(child)
-            keep.append(bg)
-            return bg, ctypes.cast(bg.ctypes.bit_generator, c_void_p).value
+            keep.extend(dists[-1])
+        templates = [[_sampler_template(d, keep) for d in row] for row in dists]
 
-        sampler_desc = (_SamplerDesc * (n_reps * m_stations * k_classes))()
-        arrival_desc = (_ArrivalDesc * (n_reps * k_classes))()
+        arrival_names = [f"arrivals/{k}" for k in range(K)]
+        service_names = [[f"service/{i}/{k}" for k in range(K)] for i in range(M)]
+        routing_names = [f"routing/{k}" for k in range(K)]
+        sampler_desc = (_SamplerDesc * (R * M * K))()
+        arrival_desc = (_ArrivalDesc * (R * K))()
+        routing_bg = (c_void_p * (R * K))() if routing is not None and not antithetic else None
+        routing_blocks: list[int] = []
         for b, seed in enumerate(seeds):
-            if isinstance(seed, np.random.SeedSequence):
-                entropy = seed.entropy
-                spawn_key = tuple(seed.spawn_key)
+            if antithetic:
+                # Coupled generators; every natively drawn slot becomes a
+                # Python-refilled block over the same stream.
+                rng = RngStreams(seed).stream
             else:
-                if not isinstance(seed, (int, np.integer)) or seed < 0:
-                    raise ModelValidationError(
-                        f"seed must be a non-negative integer, got {seed}"
+                entropy, spawn_key = _seed_key(seed)
+
+                def bg(name, entropy=entropy, spawn_key=spawn_key):
+                    gen = _stream_bg(entropy, spawn_key, name)
+                    keep.append(gen)
+                    return gen
+
+                def rng(name):
+                    return np.random.Generator(bg(name))
+
+            for k in range(K):
+                j = b * K + k
+                arrival_desc[j] = arrival_tpl[k]
+                kind = arrival_kinds[k]
+                if kind == _SK_EXPO:
+                    arrival_desc[j].bg = _bitgen_ptr(bg(arrival_names[k]))
+                elif kind == _SK_PYBLOCK:
+                    fill = partial(rng(arrival_names[k]).exponential, arrival_tpl[k].scale)
+                    arrival_desc[j].py_id = new_block(fill)
+                elif kind == _SK_PYCALL:
+                    arrival_desc[j].py_id = len(arrival_pulls)
+                    arrival_pulls.append(
+                        partial(procs[k].fresh().next_arrival, rng(arrival_names[k]))
                     )
-                entropy = int(seed)
-                spawn_key = ()
-            base_a = b * k_classes
-            for k in range(k_classes):
-                _bg, ptr = _stream_bg(entropy, spawn_key, arrival_hashes[k])
-                arrival_desc[base_a + k].kind = _SK_EXPO
-                arrival_desc[base_a + k].scale = arrival_scales[k]
-                arrival_desc[base_a + k].bg = ptr
-            base_s = b * m_stations * k_classes
-            for i in range(m_stations):
-                for k in range(k_classes):
-                    bg, ptr = _stream_bg(entropy, spawn_key, service_hashes[i][k])
-                    idx = base_s + i * k_classes + k
-                    template = templates[i][k]
-                    if template is None:
-                        sampler_desc[idx] = _sampler_descriptor(
-                            dists[i][k], np.random.Generator(bg), keep, py_samplers
-                        )
+            for i in range(M):
+                for k in range(K):
+                    j = (b * M + i) * K + k
+                    name = service_names[i][k]
+                    if antithetic:
+                        sampler_desc[j].kind = _SK_PYBLOCK
+                        sampler_desc[j].py_id = new_block(_pump_fill(dists[i][k], rng(name)))
+                        continue
+                    sampler_desc[j] = templates[i][k]
+                    if templates[i][k].kind == _SK_PYCALL:
+                        sampler_desc[j].py_id = len(py_samplers)
+                        py_samplers.append(partial(dists[i][k].sample, rng(name)))
                     else:
-                        sampler_desc[idx] = template
-                        sampler_desc[idx].bg = ptr
+                        sampler_desc[j].bg = _bitgen_ptr(bg(name))
+            if routing is not None:
+                for k in range(K):
+                    if antithetic:
+                        # Mirrored uniforms cannot come off the raw bit
+                        # generator; Generator.random is the engine's
+                        # _draw_uniform block draw.
+                        routing_blocks.append(new_block(rng(routing_names[k]).random))
+                    else:
+                        routing_bg[b * K + k] = _bitgen_ptr(bg(routing_names[k]))
+        routing_block = (c_int * K)(*routing_blocks) if routing_blocks else None
 
-        wait_np = np.zeros((n_reps, k_classes, m_stations))
-        sojourn_np = np.zeros((n_reps, k_classes, m_stations))
-        visit_np = np.zeros((n_reps, k_classes, m_stations), dtype=np.int64)
-        blocked_np = np.zeros((n_reps, k_classes, m_stations), dtype=np.int64)
-        offered_np = np.zeros((n_reps, k_classes, m_stations), dtype=np.int64)
-        busy_np = np.zeros((n_reps, m_stations))
-        class_busy_np = np.zeros((n_reps, m_stations, k_classes))
-        out_scalars = np.zeros((n_reps, 4), dtype=np.int64)
-        wf_n = np.zeros((n_reps, k_classes), dtype=np.int64)
-        wf_mean = np.zeros((n_reps, k_classes))
-        wf_m2 = np.zeros((n_reps, k_classes))
-        fail_index = (c_longlong * 1)(-1)
+        acc = {
+            name: np.zeros((R, *shape(K, M)), dtype=dtype)
+            for name, (shape, dtype) in _ACC_FIELDS.items()
+        }
+        delay_ptrs = np.zeros((R, K), dtype=np.uintp) if collect_delay_samples else None
+        delay_counts = np.zeros((R, K), dtype=np.int64)
+        log_ptrs = np.zeros((R, 4), dtype=np.uintp) if collect_job_log else None
+        log_count = np.zeros(R, dtype=np.int64)
 
-        def _service_cb(sampler_id: int) -> float:
-            try:
-                return py_samplers[sampler_id]()
-            except BaseException as exc:  # propagate through the abort flag
-                cb_error.append(exc)
-                abort[0] = 1
-                return 0.0
+        # Epoch-boundary yield protocol (dynamic speed control): the
+        # kernel pauses at each scheduled boundary, publishes the queue
+        # counts and the closed busy totals, and calls decide(); a
+        # positive return applies the clipped speeds written into
+        # speeds_arr with the work-preserving rescale, in C.
+        ledger = None
+        epoch_cb = _EPOCH_CB()  # NULL: static speeds
+        epoch_sched = speeds_arr = counts = None
+        if epoch_controller is not None:
+            ledger = _SpeedLedger(cluster, epoch_controller, K)
+            epoch_sched = np.ascontiguousarray(epoch_times, dtype=np.float64)
+            speeds_arr = np.array(ledger.speeds)
+            counts = np.zeros((M, K), dtype=np.int64)
 
-        service_cb = _SERVICE_CB(_service_cb)
-        arrival_cb = _ARRIVAL_CB()  # NULL: fleet arrivals are all native
+            def decide(tb: float) -> int:
+                ledger.accrue(acc["busy"][0].tolist(), acc["class_busy"][0].tolist())
+                changed = ledger.decide(tb, counts.copy())
+                speeds_arr[:] = ledger.speeds
+                return 1 if changed else 0
 
+            epoch_cb = _EPOCH_CB(guarded(decide, -1))
+
+        # Buffered queue sampling: the kernel records (t, populations,
+        # busy) rows and flushes them here at epoch boundaries and at
+        # the end of each replication, in the engine's event order.
+        tel = obs.TELEMETRY
+        sample_interval = tel.queue_sample_interval if (tel.enabled and tel.sample_queues) else 0.0
+        sample_cb = _SAMPLE_CB()  # NULL: sampling off
+        if sample_interval > 0.0:
+
+            def flush(ts, vals, n_rows: int) -> int:
+                rows = np.ctypeslib.as_array(vals, shape=(n_rows, 2, M)).tolist()
+                for r, (pops, busy) in enumerate(rows):
+                    _emit_queue_sample(tel, ts[r], pops, busy)
+                return 0
+
+            sample_cb = _SAMPLE_CB(guarded(flush, -1))
+
+        def refill(block_id: int, buf, cap: int) -> int:
+            arr = np.ascontiguousarray(block_fills[block_id](int(cap)), dtype=np.float64)
+            ctypes.memmove(buf, arr.ctypes.data, arr.size * 8)
+            return arr.size
+
+        def pull(slot: int, batch_out) -> float:
+            gap, batch = arrival_pulls[slot]()
+            batch_out[0] = int(batch)
+            return float(gap)
+
+        def draw(slot: int) -> float:
+            return float(py_samplers[slot]())
+
+        refill_cb = _REFILL_CB(guarded(refill, 0)) if block_fills else _REFILL_CB()
+        service_cb = _SERVICE_CB(guarded(draw, 0.0)) if py_samplers else _SERVICE_CB()
+        arrival_cb = _ARRIVAL_CB(guarded(pull, 0.0)) if arrival_pulls else _ARRIVAL_CB()
+
+    def at(arr, b: int):
+        """Address of replication ``b``'s block (``None`` stays NULL)."""
+        if arr is None:
+            return None
+        if isinstance(arr, np.ndarray):
+            return arr.ctypes.data + b * arr.strides[0]
+        return ctypes.addressof(arr) + b * (ctypes.sizeof(arr) // R)
+
+    fail_index = (c_longlong * 1)(-1)
     failures: list[tuple[int, str]] = []
-    failed: set[int] = set()
     base = 0
-    with obs.span("sim.event_loop", horizon=horizon, backend="compiled", batch=n_reps):
-        while base < n_reps:
+    with obs.span("sim.event_loop", horizon=horizon, backend="compiled", reps=R):
+        while base < R:
             abort[0] = 0
-            sampler_off = base * m_stations * k_classes * ctypes.sizeof(_SamplerDesc)
-            arrival_off = base * k_classes * ctypes.sizeof(_ArrivalDesc)
-            rc = lib.run_kernel_batch(
-                n_reps - base,
-                k_classes,
-                m_stations,
+            rc = getattr(lib, entry)(
+                R - base,
+                K,
+                M,
                 float(horizon),
                 float(warmup),
                 station_desc,
-                ctypes.cast(
-                    ctypes.byref(sampler_desc, sampler_off), POINTER(_SamplerDesc)
-                ),
-                ctypes.cast(
-                    ctypes.byref(arrival_desc, arrival_off), POINTER(_ArrivalDesc)
-                ),
+                at(sampler_desc, base),
+                at(arrival_desc, base),
                 routes_v,
                 route_len,
+                entry_v,
+                trans_v,
+                at(routing_bg, base),
+                routing_block,
+                refill_cb,
+                len(block_fills),
+                _BLOCK_SIZE,
+                0 if epoch_sched is None else epoch_sched.size,
+                at(epoch_sched, 0),
+                at(speeds_arr, 0),
+                at(counts, 0),
+                epoch_cb,
+                float(sample_interval),
+                sample_cb,
                 service_cb,
                 arrival_cb,
                 abort,
-                _as_d(wait_np[base:]),
-                _as_d(sojourn_np[base:]),
-                _as_ll(visit_np[base:]),
-                _as_ll(blocked_np[base:]),
-                _as_ll(offered_np[base:]),
-                _as_d(busy_np[base:]),
-                _as_d(class_busy_np[base:]),
-                _as_ll(out_scalars[base:]),
-                _as_ll(wf_n[base:]),
-                _as_d(wf_mean[base:]),
-                _as_d(wf_m2[base:]),
+                *[at(acc[name], base) for name in _ACC_FIELDS],
+                at(delay_ptrs, base),
+                at(delay_counts, base),
+                at(log_ptrs, base),
+                at(log_count, base),
                 fail_index,
             )
             if rc == _RC_OK:
                 break
-            fb = base + int(fail_index[0])
-            if fail_index[0] < 0 or fb >= n_reps:
-                raise SimulationError(
-                    "compiled batch kernel failed without a failing index"
-                )
-            # Mirror the unit path's exception types/messages exactly,
-            # pre-formatted the way the fleet records per-unit failures;
-            # replications after the failing one resume on fresh state
-            # (their streams are per-seed, so results are unaffected).
             if rc == _RC_ABORT:
                 exc: BaseException = (
                     cb_error[0]
                     if cb_error
-                    else SimulationError(
-                        "compiled kernel aborted without a recorded error"
-                    )
+                    else SimulationError("compiled kernel aborted without a recorded error")
                 )
             elif rc == _RC_NOMEM:
                 exc = MemoryError("compiled simulation kernel ran out of memory")
             else:
                 exc = SimulationError("completion with no busy server (compiled kernel)")
-            failures.append((fb, f"{type(exc).__name__}: {exc}"))
-            failed.add(fb)
+            if raise_failure or not isinstance(exc, Exception):
+                raise exc  # interrupts and exits are never a unit failure
+            # Replications after the failing one resume on fresh kernel
+            # state; their streams are per-seed, so results are unchanged.
+            failures.append((base + fail_index[0], f"{type(exc).__name__}: {exc}"))
             cb_error.clear()
-            base = fb + 1
-    del keep  # the kernel has returned; arrays may be collected now
+            base += fail_index[0] + 1
 
-    with obs.span("sim.batch_finalize", reps=n_reps):
-        window = horizon - warmup
-        idle_power = float(sum(t.servers * t.spec.power.idle for t in cluster.tiers))
-        # Same expression as the unit finalize's per-tier p_dyn; hoisted
-        # because it does not depend on the replication.
-        tier_p_dyn = [
-            t.spec.power.kappa * t.speed**t.spec.power.alpha for t in cluster.tiers
+    if ledger is not None:
+        # The horizon closes the last constant-speed segment.
+        ledger.accrue(acc["busy"][0].tolist(), acc["class_busy"][0].tolist())
+    samples = logs = None
+    if collect_delay_samples:
+        samples = [
+            [_take(lib, delay_ptrs[b, k], delay_counts[b, k], c_double) for k in range(K)]
+            for b in range(R)
         ]
-        rows: list[dict[str, Any] | None] = [None] * n_reps
-        for b in range(n_reps):
-            if b in failed:
-                continue
-            busy_list = [float(x) for x in busy_np[b]]
-            dynamic_power = 0.0
-            for i in range(m_stations):
-                dynamic_power += tier_p_dyn[i] * busy_list[i] / window
-            average_power = idle_power + dynamic_power
-
-            # wf_* hold the C-side Welford state, bitwise equal to the
-            # Python accumulators the unit path folds delay buffers
-            # into; .mean is NaN on an empty accumulator.
-            ncomp = wf_n[b]
-            delays = np.array(
-                [
-                    float(wf_mean[b, k]) if ncomp[k] else float("nan")
-                    for k in range(k_classes)
-                ]
-            )
-            n_total = ncomp.sum()
-            mean_delay = (
-                float(np.dot(ncomp, delays) / n_total) if n_total else float("nan")
-            )
-            throughput = ncomp / window
-            total_throughput = float(throughput.sum())
-            energy_per_request = (
-                average_power / total_throughput
-                if total_throughput > 0
-                else float("nan")
-            )
-
-            n_events = int(out_scalars[b, 1])
-            n_warmup_discarded = int(out_scalars[b, 2])
-            n_counted_total = int(n_total)
-            n_finished_total = n_counted_total + n_warmup_discarded
-            if n_finished_total > 0 and n_warmup_discarded > 0.5 * n_finished_total:
-                discard_fraction = n_warmup_discarded / n_finished_total
-                warnings.warn(
-                    WarmupDiscardWarning(
-                        f"warmup window ({warmup:g} of horizon {horizon:g}) discarded "
-                        f"{n_warmup_discarded} of {n_finished_total} completed jobs "
-                        f"({discard_fraction:.0%}); delay statistics rest on only "
-                        f"{n_counted_total} jobs — lengthen the horizon or shrink "
-                        f"warmup_fraction"
-                    ),
-                    stacklevel=3,
-                )
-                obs.event(
-                    "sim.warmup_discard",
-                    warmup=warmup,
-                    horizon=horizon,
-                    n_discarded=n_warmup_discarded,
-                    n_counted=n_counted_total,
-                    discard_fraction=discard_fraction,
-                )
-            obs.counter("sim.events").add(n_events)
-            obs.counter("sim.jobs_created").add(int(out_scalars[b, 0]))
-            obs.counter("sim.jobs_counted").add(n_counted_total)
-
-            row: dict[str, Any] = {
-                "n_events": n_events,
-                "n_completed": n_counted_total,
-                "mean_delay": mean_delay,
-                "average_power": average_power,
-                "energy_per_request": energy_per_request,
-            }
-            for k in range(k_classes):
-                row[f"delay_c{k}"] = float(delays[k])
-            rows[b] = row
-    return rows, failures
+    if collect_job_log:
+        logs = []
+        for b in range(R):
+            log = np.empty(int(log_count[b]), dtype=_JOB_LOG_DTYPE)
+            for field, ptr, ctype in zip(
+                log.dtype.names, log_ptrs[b], (c_longlong, c_int, c_double, c_double)
+            ):
+                log[field] = _take(lib, ptr, log_count[b], ctype)
+            logs.append(log)
+    return acc, failures, ledger, samples, logs

@@ -63,9 +63,10 @@ import numpy as np
 
 from repro import obs
 from repro.exceptions import ModelValidationError
-from repro.simulation.compiled import resolve_backend
+from repro.simulation.compiled import kernel_available, resolve_backend
 from repro.simulation.parallel import resolve_n_jobs
 from repro.simulation.results_store import FleetStore, _column_dtype
+from repro.simulation.simulator import _mean_delay
 
 __all__ = ["FleetScenario", "FleetSummary", "run_fleet", "fleet_columns"]
 
@@ -168,42 +169,6 @@ def _chunk_plan(
     return chunks
 
 
-def _run_unit(
-    scenarios: list[FleetScenario],
-    master_seed: int,
-    unit: int,
-    n_replications: int,
-) -> dict[str, Any]:
-    """Simulate one unit and distill it into a store row."""
-    from repro.simulation.simulator import simulate
-
-    sid, rep = divmod(unit, n_replications)
-    sc = scenarios[sid]
-    start = time.perf_counter()
-    res = simulate(
-        sc.cluster,
-        sc.workload,
-        horizon=sc.horizon,
-        warmup_fraction=sc.warmup_fraction,
-        seed=_unit_seed(master_seed, sid, rep),
-    )
-    wall = time.perf_counter() - start
-    row: dict[str, Any] = {
-        "unit": unit,
-        "scenario": sid,
-        "replication": rep,
-        "n_events": int(res.meta.get("n_events", 0)),
-        "n_completed": int(res.n_completed.sum()),
-        "mean_delay": float(res.mean_delay),
-        "average_power": float(res.average_power),
-        "energy_per_request": float(res.energy_per_request),
-        "wall_s": wall,
-    }
-    for k in range(len(res.class_names)):
-        row[f"delay_c{k}"] = float(res.delays[k])
-    return row
-
-
 def _run_chunk(
     scenarios: list[FleetScenario],
     master_seed: int,
@@ -216,28 +181,25 @@ def _run_chunk(
     """Run one chunk of replications of one scenario.
 
     Tries the batched compiled path first (one kernel call for the
-    whole chunk); falls back to unit-at-a-time :func:`simulate` when
-    batching does not apply (python backend, single-unit chunk, kernel
-    unavailable, or telemetry queue sampling on). Either way the rows
-    are bit-identical.
+    whole chunk); falls back to unit-at-a-time :func:`simulate` for the
+    python backend, an unknown discipline or a missing toolchain.
+    Either way the rows are bit-identical.
 
     Returns ``(ok_units, columns, failures)``: the absolute unit ids
     that succeeded, their rows as schema-dtyped column arrays (row i =
     ``ok_units[i]``), and ``(unit, "ExcType: message")`` failure pairs.
     """
-    sc = scenarios[sid]
-    n_classes = len(tuple(sc.workload.names))
-    base_unit = sid * n_replications + rep0
-    rows: list[dict[str, Any] | None] = [None] * count
-    failures: list[tuple[int, str]] = []
-    batched = False
-    if backend != "python" and count > 1:
-        from repro.simulation.compiled import maybe_simulate_fleet_batch
+    from repro.simulation import compiled
+    from repro.simulation.simulator import simulate
 
-        seeds = [_unit_seed(master_seed, sid, rep0 + j) for j in range(count)]
+    sc = scenarios[sid]
+    base_unit = sid * n_replications + rep0
+    seeds = [_unit_seed(master_seed, sid, rep0 + j) for j in range(count)]
+    batch = None
+    if backend != "python":
         start = time.perf_counter()
         try:
-            res = maybe_simulate_fleet_batch(
+            batch = compiled.maybe_simulate_fleet_batch(
                 backend, sc.cluster, sc.workload, sc.horizon, sc.warmup_fraction, seeds
             )
         except Exception as exc:
@@ -246,34 +208,53 @@ def _run_chunk(
             # would have raised per unit.
             msg = f"{type(exc).__name__}: {exc}"
             return [], {}, [(base_unit + j, msg) for j in range(count)]
-        if res is not None:
-            brows, bfailures = res
-            wall = (time.perf_counter() - start) / count
-            for j, metrics in enumerate(brows):
-                if metrics is None:
-                    continue
-                rows[j] = {
-                    "unit": base_unit + j,
-                    "scenario": sid,
-                    "replication": rep0 + j,
-                    "wall_s": wall,
-                    **metrics,
-                }
-            failures = [(base_unit + j, msg) for j, msg in bfailures]
-            batched = True
-    if not batched:
-        for j in range(count):
-            unit = base_unit + j
+    if batch is not None:
+        fields, failures = batch
+        ok = fields["index"].tolist()
+        walls = [(time.perf_counter() - start) / count] * len(ok)
+    else:
+        ok, walls, results, failures = [], [], [], []
+        for j, seed in enumerate(seeds):
+            start = time.perf_counter()
             try:
-                rows[j] = _run_unit(scenarios, master_seed, unit, n_replications)
+                res = simulate(
+                    sc.cluster,
+                    sc.workload,
+                    horizon=sc.horizon,
+                    warmup_fraction=sc.warmup_fraction,
+                    seed=seed,
+                )
             except Exception as exc:
-                failures.append((unit, f"{type(exc).__name__}: {exc}"))
-    ok = [j for j in range(count) if rows[j] is not None]
-    columns = fleet_columns(n_classes)
-    cols = {
-        c: np.array([rows[j][c] for j in ok], dtype=_column_dtype(c)) for c in columns
+                failures.append((j, f"{type(exc).__name__}: {exc}"))
+                continue
+            walls.append(time.perf_counter() - start)
+            ok.append(j)
+            results.append(res)
+        fields = {
+            "n_events": [r.meta["n_events"] for r in results],
+            "n_completed": np.array([r.n_completed for r in results]),
+            "delays": np.array([r.delays for r in results]),
+            "average_power": [r.average_power for r in results],
+            "energy_per_request": [r.energy_per_request for r in results],
+        }
+    n_classes = len(tuple(sc.workload.names))
+    n_completed = fields["n_completed"].reshape(len(ok), n_classes)
+    delays = fields["delays"].reshape(len(ok), n_classes)
+    cols: dict[str, Any] = {
+        "unit": [base_unit + j for j in ok],
+        "scenario": [sid] * len(ok),
+        "replication": [rep0 + j for j in ok],
+        "n_events": fields["n_events"],
+        "n_completed": n_completed.sum(axis=1),
+        "mean_delay": [_mean_delay(c, d) for c, d in zip(n_completed, delays)],
+        "average_power": fields["average_power"],
+        "energy_per_request": fields["energy_per_request"],
+        "wall_s": walls,
     }
-    return [base_unit + j for j in ok], cols, failures
+    for k in range(n_classes):
+        cols[f"delay_c{k}"] = delays[:, k]
+    columns = {c: np.asarray(cols[c], dtype=_column_dtype(c)) for c in fleet_columns(n_classes)}
+    return [base_unit + j for j in ok], columns, [(base_unit + j, m) for j, m in failures]
 
 
 def _shm_views(
@@ -319,9 +300,7 @@ def _fleet_worker(
 
     os.environ["REPRO_SIM_BACKEND"] = backend
     if backend != "python":
-        from repro.simulation.compiled import warm_kernel
-
-        warm_kernel()
+        kernel_available()
     columns = fleet_columns(len(tuple(scenarios[0].workload.names)))
     shm = shared_memory.SharedMemory(name=shm_name)
     views = _shm_views(shm.buf, columns, n_units)

@@ -127,9 +127,9 @@ def _warm_worker(backend: str | None = None, warned: tuple[str, ...] = ()) -> No
 
         compiled._warned.update(warned)
     if os.environ.get("REPRO_SIM_BACKEND", "python") != "python":
-        from repro.simulation.compiled import warm_kernel
+        from repro.simulation.compiled import kernel_available
 
-        warm_kernel()
+        kernel_available()
 
 
 def _warned_snapshot() -> tuple[str, ...]:

@@ -22,6 +22,10 @@ bit-identical for a given seed:
   sums, per-class delay buffers flushed through
   :meth:`repro.simulation.stats.Welford.add_batch`) instead of NumPy
   fancy indexing and per-sample Welford updates.
+
+Both engines end in the same place: the raw tallies, with a leading
+replication axis of one here, go through :func:`_finalize`, which the
+compiled unit path and the batched fleet chunk share.
 """
 
 from __future__ import annotations
@@ -40,12 +44,13 @@ import numpy as np
 from repro import obs
 from repro.cluster.model import ClusterModel
 from repro.distributions.hyperexponential import HyperExponential
-from repro.exceptions import ModelValidationError, WarmupDiscardWarning
+from repro.exceptions import ModelValidationError, SimulationError, WarmupDiscardWarning
+from repro.simulation import compiled
 from repro.simulation.job import Job
 from repro.simulation.ps_station import PSStation
 from repro.simulation.rng import AntitheticSeed, BlockCursor, RngStreams
 from repro.simulation.station import SimStation
-from repro.simulation.stats import Welford, confidence_halfwidth
+from repro.simulation.stats import Welford, confidence_halfwidths
 from repro.workload.arrivals import ArrivalProcess, PoissonProcess
 from repro.workload.classes import Workload
 
@@ -53,6 +58,10 @@ __all__ = ["SimulationResult", "simulate"]
 
 _ARRIVAL = 0
 _COMPLETION = 1
+
+_JOB_LOG_DTYPE = np.dtype(
+    [("jid", np.int64), ("cls", np.int32), ("arrival", float), ("exit", float)]
+)
 
 
 @dataclass
@@ -102,10 +111,16 @@ class SimulationResult:
     @property
     def mean_delay(self) -> float:
         """Completion-weighted mean end-to-end delay over all classes."""
-        n = self.n_completed.sum()
-        if n == 0:
-            return float("nan")
-        return float(np.dot(self.n_completed, self.delays) / n)
+        return _mean_delay(self.n_completed, self.delays)
+
+
+def _mean_delay(n_completed: np.ndarray, delays: np.ndarray) -> float:
+    """Completion-weighted mean delay of one replication (NaN when
+    nothing completed)."""
+    n = n_completed.sum()
+    if n == 0:
+        return float("nan")
+    return float(np.dot(n_completed, delays) / n)
 
 
 def simulate(
@@ -217,11 +232,9 @@ def simulate(
     # antithetic seeds (Python-refilled variate blocks), PS tiers and
     # telemetry queue sampling — and returns None to fall back to this
     # engine otherwise (unknown tier disciplines, kernel build failure).
-    backend = _env_backend()
+    backend = compiled.resolve_backend(os.environ.get("REPRO_SIM_BACKEND"))
     if backend != "python":
-        from repro.simulation import compiled as _compiled
-
-        compiled_result = _compiled.maybe_simulate_compiled(
+        compiled_result = compiled.maybe_simulate_compiled(
             backend,
             cluster,
             workload,
@@ -246,6 +259,7 @@ def simulate(
     m_stations = cluster.num_tiers
     warmup = warmup_fraction * horizon
 
+    ledger = _SpeedLedger(cluster, epoch_controller, k_classes) if dynamic_speed else None
     with obs.span("sim.setup", classes=k_classes, stations=m_stations, horizon=horizon):
         streams = RngStreams(seed)
         if routing is None:
@@ -370,80 +384,23 @@ def simulate(
     # Epoch-boundary controller hook. Mirrors the telemetry sampler
     # above: with no controller attached, next_epoch stays +inf and the
     # hook costs one float comparison per event.
-    dyn_energy = 0.0
-    per_class_dyn_energy = np.zeros(k_classes)
     if dynamic_speed:
-        tier_power = [(t.spec.power.kappa, t.spec.power.alpha) for t in cluster.tiers]
-        speed_bounds = [(t.spec.min_speed, t.spec.max_speed) for t in cluster.tiers]
-        busy_mark = [0.0] * m_stations
-        class_busy_mark = [[0.0] * k_classes for _ in range(m_stations)]
-        epoch_trace: list[dict[str, Any]] = []
         epoch_idx = 0
         next_epoch = float(epoch_schedule[0])
 
-        def _accrue_segments(tb: float) -> None:
-            """Close every station's busy intervals at ``tb`` and bill
-            the elapsed busy time at the segment's (current) speed."""
-            nonlocal dyn_energy
-            for i, st in enumerate(stations):
-                st.close_open_intervals(tb)
-                kappa, alpha = tier_power[i]
-                p_dyn = kappa * speed_cells[i][0] ** alpha
-                delta = st.busy_total - busy_mark[i]
-                if delta > 0.0:
-                    dyn_energy += p_dyn * delta
-                    busy_mark[i] = st.busy_total
-                cb = st.class_busy_totals
-                mark = class_busy_mark[i]
-                for k in range(k_classes):
-                    dk = cb[k] - mark[k]
-                    if dk > 0.0:
-                        per_class_dyn_energy[k] += p_dyn * dk
-                        mark[k] = cb[k]
-
         def _fire_epoch(tb: float) -> None:
-            """One controller decision at boundary ``tb``: flush energy
-            segments, observe queues, apply the returned speeds (work-
-            preserving rescale of in-service jobs), record the trace."""
-            _accrue_segments(tb)
+            """One controller decision at boundary ``tb``: close busy
+            intervals and bill them, observe queues, apply the returned
+            speeds (work-preserving rescale of in-service jobs)."""
+            for st in stations:
+                st.close_open_intervals(tb)
+            ledger.accrue(
+                [st.busy_total for st in stations], [st.class_busy_totals for st in stations]
+            )
             counts = np.array([st.class_counts() for st in stations], dtype=np.int64)
-            speeds_now = np.array([c[0] for c in speed_cells])
-            new_speeds = epoch_controller(tb, counts, speeds_now.copy())
-            if new_speeds is not None:
-                new_arr = np.asarray(new_speeds, dtype=float)
-                if new_arr.shape != (m_stations,):
-                    raise ModelValidationError(
-                        f"epoch controller must return {m_stations} speeds, "
-                        f"got shape {new_arr.shape}"
-                    )
-                for i, st in enumerate(stations):
-                    lo, hi = speed_bounds[i]
-                    s_new = min(max(float(new_arr[i]), lo), hi)
-                    s_old = speed_cells[i][0]
-                    if s_new != s_old:
-                        st.rescale_remaining(tb, s_old / s_new)
-                        speed_cells[i][0] = s_new
-                        speeds_now[i] = s_new
-            epoch_trace.append(
-                {
-                    "t": tb,
-                    "queues": counts,
-                    "speeds": speeds_now,
-                    "dynamic_energy": dyn_energy,
-                }
-            )
-            # Controller-trace telemetry: epochs are decision instants
-            # (hundreds per run, never per-event), so emitting here
-            # keeps the epoch trace ingestable from events.jsonl
-            # without touching the hot loop. No-op while disabled.
-            obs.event(
-                "sim.epoch",
-                epoch=len(epoch_trace) - 1,
-                t=tb,
-                queues=counts,
-                speeds=speeds_now,
-                dynamic_energy=dyn_energy,
-            )
+            for i, ratio in ledger.decide(tb, counts):
+                stations[i].rescale_remaining(tb, ratio)
+                speed_cells[i][0] = ledger.speeds[i]
     else:
         next_epoch = float("inf")
 
@@ -563,155 +520,262 @@ def simulate(
         # adds; see Welford.add_batch).
         for k in range(k_classes):
             e2e[k].add_batch(delay_buf[k])
-
-        window = horizon - warmup
-        utilizations = np.array(
-            [
-                st.busy_total / (tier.servers * window)
-                for st, tier in zip(stations, cluster.tiers)
-            ]
+        busy = [st.busy_total for st in stations]
+        class_busy = [st.class_busy_totals for st in stations]
+        if ledger is not None:
+            # The horizon closes the last constant-speed segment.
+            ledger.accrue(busy, class_busy)
+        acc = {
+            "wait": np.array([wait_sum]),
+            "sojourn": np.array([sojourn_sum]),
+            "visits": np.array([visit_count], dtype=np.int64),
+            "blocked": np.array([n_blocked], dtype=np.int64),
+            "offered": np.array([offered], dtype=np.int64),
+            "busy": np.array([busy]),
+            "class_busy": np.array([class_busy]),
+            "scalars": np.array([[jid, n_events, n_warmup_discarded, hit_horizon]], dtype=np.int64),
+            "wf_n": np.array([[w.n for w in e2e]], dtype=np.int64),
+            "wf_mean": np.array([[w._mean for w in e2e]]),
+            "wf_m2": np.array([[w._m2 for w in e2e]]),
+        }
+        return _unit_result(
+            cluster,
+            workload,
+            horizon,
+            warmup,
+            acc,
+            ledger=ledger,
+            delay_samples=(
+                [np.asarray(s) for s in delay_buf] if collect_delay_samples else None
+            ),
+            job_log=(
+                np.array(log_rows, dtype=_JOB_LOG_DTYPE) if log_rows is not None else None
+            ),
+            stacklevel=3,
         )
 
-        # Power: idle floor plus measured dynamic draw.
-        if dynamic_speed:
-            # The horizon closes the last constant-speed segment (the
-            # busy intervals were already flushed above); the energy is
-            # the sum over segments of busy-time x kappa*s^alpha at that
-            # segment's speed.
-            _accrue_segments(horizon)
-            dynamic_power = dyn_energy / window
-            per_class_dyn_energy_rate = per_class_dyn_energy / window
-        else:
-            dynamic_power = 0.0
-            per_class_dyn_energy_rate = np.zeros(k_classes)
-            for st, tier in zip(stations, cluster.tiers):
-                p_dyn = tier.spec.power.kappa * tier.speed**tier.spec.power.alpha
-                dynamic_power += p_dyn * st.busy_total / window
-                for k in range(k_classes):
-                    per_class_dyn_energy_rate[k] += p_dyn * st.class_busy_totals[k] / window
-        idle_power = float(sum(t.servers * t.spec.power.idle for t in cluster.tiers))
-        average_power = idle_power + dynamic_power
 
-        n_completed = np.array([w.n for w in e2e], dtype=np.int64)
-        delays = np.array([w.mean for w in e2e])
-        stds = np.array([w.std for w in e2e])
-        cis = np.array([confidence_halfwidth(w.std, w.n) for w in e2e])
+class _SpeedLedger:
+    """Epoch-controller state shared by both engines: the current
+    per-tier speeds, dynamic energy billed per constant-speed segment,
+    clipped controller decisions and the per-epoch trace."""
 
-        # Per-class dynamic energy per completed request: measured energy
-        # rate divided by the class's measured throughput.
-        throughput = n_completed / window
-        with np.errstate(divide="ignore", invalid="ignore"):
-            per_class_dyn = np.where(
-                throughput > 0, per_class_dyn_energy_rate / np.maximum(throughput, 1e-300), np.nan
-            )
-        total_throughput = float(throughput.sum())
-        energy_per_request = (
-            average_power / total_throughput if total_throughput > 0 else float("nan")
+    def __init__(self, cluster: ClusterModel, controller: Callable, n_classes: int):
+        self.controller = controller
+        self.speeds = [float(t.speed) for t in cluster.tiers]
+        self.power = [(t.spec.power.kappa, t.spec.power.alpha) for t in cluster.tiers]
+        self.bounds = [(t.spec.min_speed, t.spec.max_speed) for t in cluster.tiers]
+        self.busy_mark = [0.0] * len(self.speeds)
+        self.class_mark = [[0.0] * n_classes for _ in self.speeds]
+        self.energy = 0.0
+        self.class_energy = np.zeros(n_classes)
+        self.trace: list[dict[str, Any]] = []
+
+    def accrue(self, busy: list[float], class_busy: list[list[float]]) -> None:
+        """Bill the busy time closed since the last call (per-tier and
+        per-class totals) at each tier's current speed."""
+        for i, (kappa, alpha) in enumerate(self.power):
+            p_dyn = kappa * self.speeds[i] ** alpha
+            delta = busy[i] - self.busy_mark[i]
+            if delta > 0.0:
+                self.energy += p_dyn * delta
+                self.busy_mark[i] = busy[i]
+            mark = self.class_mark[i]
+            for k, total in enumerate(class_busy[i]):
+                dk = total - mark[k]
+                if dk > 0.0:
+                    self.class_energy[k] += p_dyn * dk
+                    mark[k] = total
+
+    def decide(self, tb: float, counts: np.ndarray) -> list[tuple[int, float]]:
+        """One controller decision at boundary ``tb``; records the trace
+        row and returns ``(tier, old_speed / new_speed)`` per change."""
+        speeds_now = np.array(self.speeds)
+        new_speeds = self.controller(tb, counts, speeds_now.copy())
+        changed = []
+        if new_speeds is not None:
+            new_arr = np.asarray(new_speeds, dtype=float)
+            if new_arr.shape != (len(self.speeds),):
+                raise ModelValidationError(
+                    f"epoch controller must return {len(self.speeds)} speeds, "
+                    f"got shape {new_arr.shape}"
+                )
+            for i, (lo, hi) in enumerate(self.bounds):
+                s_new = min(max(float(new_arr[i]), lo), hi)
+                s_old = self.speeds[i]
+                if s_new != s_old:
+                    ratio = s_old / s_new
+                    if ratio <= 0.0:
+                        raise SimulationError(f"speed rescale ratio must be positive, got {ratio}")
+                    changed.append((i, ratio))
+                    self.speeds[i] = s_new
+                    speeds_now[i] = s_new
+        self.trace.append(
+            {"t": tb, "queues": counts, "speeds": speeds_now, "dynamic_energy": self.energy}
         )
+        # Controller-trace telemetry: epochs are decision instants
+        # (hundreds per run, never per-event), so emitting here keeps
+        # the epoch trace ingestable from events.jsonl without touching
+        # the hot loop. No-op while disabled.
+        obs.event(
+            "sim.epoch",
+            epoch=len(self.trace) - 1,
+            t=tb,
+            queues=counts,
+            speeds=speeds_now,
+            dynamic_energy=self.energy,
+        )
+        return changed
 
-        wait_sum_arr = np.array(wait_sum)
-        sojourn_sum_arr = np.array(sojourn_sum)
-        visit_count_arr = np.array(visit_count, dtype=np.int64)
-        # A counted visit completes at the station exactly when it is
-        # counted toward per-visit delay statistics, so the completion
-        # matrix equals the visit-count matrix (kept as separate meta
-        # arrays for API compatibility).
-        station_completions = visit_count_arr.copy()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            station_waits = np.where(
-                visit_count_arr > 0, wait_sum_arr / np.maximum(visit_count_arr, 1), np.nan
-            )
-            station_sojourns = np.where(
-                visit_count_arr > 0, sojourn_sum_arr / np.maximum(visit_count_arr, 1), np.nan
-            )
+
+def _finalize(
+    cluster: ClusterModel,
+    horizon: float,
+    warmup: float,
+    acc: dict[str, np.ndarray],
+    *,
+    ledger: _SpeedLedger | None = None,
+    stacklevel: int,
+) -> dict[str, np.ndarray]:
+    """Per-replication metrics from raw accumulators: the one finalize.
+
+    ``acc`` maps each name of
+    :data:`repro.simulation.compiled._ACC_FIELDS` to its tallies with a
+    leading replication axis.  Every expression keeps the scalar
+    engine's operand order, so vectorizing over replications is
+    bit-identical to finalizing each one alone.  A ``ledger`` (one
+    replication under an epoch controller) supplies the segmented
+    dynamic energy.
+
+    Emits the warmup-discard warning once, ``stacklevel`` frames up
+    from here, plus one ``sim.warmup_discard`` event per affected
+    replication and the ``sim.*`` counters.
+    """
+    window = horizon - warmup
+    tiers = cluster.tiers
+    busy = acc["busy"]
+    n = acc["wf_n"]
+    if ledger is None:
+        dynamic_power = np.zeros(len(busy))
+        class_rate = np.zeros(n.shape)
+        for i, t in enumerate(tiers):
+            p_dyn = t.spec.power.kappa * t.speed**t.spec.power.alpha
+            dynamic_power += p_dyn * busy[:, i] / window
+            class_rate += p_dyn * acc["class_busy"][:, i] / window
+    else:
+        dynamic_power = np.array([ledger.energy / window])
+        class_rate = ledger.class_energy[None] / window
+    idle_power = float(sum(t.servers * t.spec.power.idle for t in tiers))
+    average_power = idle_power + dynamic_power
+
+    counted = n.sum(axis=1)
+    visits = acc["visits"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stds = np.where(n > 1, np.sqrt(acc["wf_m2"] / (n - 1)), np.nan)
+        # Per-class dynamic energy per completed request: measured
+        # energy rate divided by the class's measured throughput.
+        throughput = n / window
+        total_throughput = throughput.sum(axis=1)
+        fields = {
+            "n_completed": n,
+            "delays": np.where(n > 0, acc["wf_mean"], np.nan),
+            "delay_std": stds,
+            "delay_ci": confidence_halfwidths(stds, n),
+            "station_waits": np.where(visits > 0, acc["wait"] / np.maximum(visits, 1), np.nan),
+            "station_sojourns": np.where(
+                visits > 0, acc["sojourn"] / np.maximum(visits, 1), np.nan
+            ),
+            "utilizations": busy / np.array([t.servers * window for t in tiers]),
+            "average_power": average_power,
+            "energy_per_request": np.where(
+                total_throughput > 0, average_power / total_throughput, np.nan
+            ),
+            "per_class_dynamic_energy": np.where(
+                throughput > 0, class_rate / np.maximum(throughput, 1e-300), np.nan
+            ),
+            "n_jobs_created": acc["scalars"][:, 0],
+            "n_events": acc["scalars"][:, 1],
+            "n_warmup_discarded": acc["scalars"][:, 2],
+        }
 
     # Delay statistics on a thin post-warmup tail are noisy; surface it
     # both as a Python warning and as a structured telemetry event.
-    n_counted_total = int(n_completed.sum())
-    n_finished_total = n_counted_total + n_warmup_discarded
-    if n_finished_total > 0 and n_warmup_discarded > 0.5 * n_finished_total:
-        discard_fraction = n_warmup_discarded / n_finished_total
-        warnings.warn(
-            WarmupDiscardWarning(
-                f"warmup window ({warmup:g} of horizon {horizon:g}) discarded "
-                f"{n_warmup_discarded} of {n_finished_total} completed jobs "
-                f"({discard_fraction:.0%}); delay statistics rest on only "
-                f"{n_counted_total} jobs — lengthen the horizon or shrink "
-                f"warmup_fraction"
-            ),
-            stacklevel=2,
-        )
+    discarded = fields["n_warmup_discarded"]
+    finished = counted + discarded
+    heavy = [int(r) for r in np.flatnonzero((finished > 0) & (discarded > 0.5 * finished))]
+    for j, r in enumerate(heavy):
+        d, f, c = int(discarded[r]), int(finished[r]), int(counted[r])
+        if j == 0:
+            warnings.warn(
+                WarmupDiscardWarning(
+                    f"warmup window ({warmup:g} of horizon {horizon:g}) discarded "
+                    f"{d} of {f} completed jobs ({d / f:.0%}); delay statistics rest "
+                    f"on only {c} jobs — lengthen the horizon or shrink warmup_fraction"
+                ),
+                stacklevel=stacklevel,
+            )
         obs.event(
             "sim.warmup_discard",
             warmup=warmup,
             horizon=horizon,
-            n_discarded=n_warmup_discarded,
-            n_counted=n_counted_total,
-            discard_fraction=discard_fraction,
+            n_discarded=d,
+            n_counted=c,
+            discard_fraction=d / f,
         )
-    obs.counter("sim.events").add(n_events)
-    obs.counter("sim.jobs_created").add(jid)
-    obs.counter("sim.jobs_counted").add(n_counted_total)
+    obs.counter("sim.events").add(int(fields["n_events"].sum()))
+    obs.counter("sim.jobs_created").add(int(fields["n_jobs_created"].sum()))
+    obs.counter("sim.jobs_counted").add(int(counted.sum()))
+    return fields
 
+
+def _unit_result(
+    cluster: ClusterModel,
+    workload: Workload,
+    horizon: float,
+    warmup: float,
+    acc: dict[str, np.ndarray],
+    *,
+    ledger: _SpeedLedger | None,
+    delay_samples: list[np.ndarray] | None,
+    job_log: np.ndarray | None,
+    stacklevel: int,
+) -> SimulationResult:
+    """The :class:`SimulationResult` of one replication's accumulators
+    (``stacklevel`` as for :func:`warnings.warn`, seen from the caller)."""
+    f = _finalize(cluster, horizon, warmup, acc, ledger=ledger, stacklevel=stacklevel + 1)
     meta: dict[str, Any] = {
-        "n_jobs_created": jid,
-        "n_events": n_events,
-        "n_warmup_discarded": n_warmup_discarded,
-        "station_completions": station_completions,
-        "n_blocked": np.array(n_blocked, dtype=np.int64),
-        "n_offered": np.array(offered, dtype=np.int64),
+        "n_jobs_created": int(f["n_jobs_created"][0]),
+        "n_events": int(f["n_events"][0]),
+        "n_warmup_discarded": int(f["n_warmup_discarded"][0]),
+        # A counted visit completes at the station exactly when it is
+        # counted toward per-visit delay statistics, so the completion
+        # matrix equals the visit-count matrix.
+        "station_completions": acc["visits"][0],
+        "n_blocked": acc["blocked"][0],
+        "n_offered": acc["offered"][0],
     }
-    if dynamic_speed:
-        meta["epoch_trace"] = epoch_trace
-        meta["final_speeds"] = np.array([c[0] for c in speed_cells])
-        meta["dynamic_energy"] = float(dyn_energy)
-
+    if ledger is not None:
+        meta["epoch_trace"] = ledger.trace
+        meta["final_speeds"] = np.array(ledger.speeds)
+        meta["dynamic_energy"] = float(ledger.energy)
     return SimulationResult(
         class_names=tuple(workload.names),
-        n_completed=n_completed,
-        delays=delays,
-        delay_std=stds,
-        delay_ci=cis,
-        station_waits=station_waits,
-        station_sojourns=station_sojourns,
-        utilizations=utilizations,
-        average_power=average_power,
-        energy_per_request=energy_per_request,
-        per_class_dynamic_energy=per_class_dyn,
+        n_completed=f["n_completed"][0],
+        delays=f["delays"][0],
+        delay_std=f["delay_std"][0],
+        delay_ci=f["delay_ci"][0],
+        station_waits=f["station_waits"][0],
+        station_sojourns=f["station_sojourns"][0],
+        utilizations=f["utilizations"][0],
+        average_power=float(f["average_power"][0]),
+        energy_per_request=float(f["energy_per_request"][0]),
+        per_class_dynamic_energy=f["per_class_dynamic_energy"][0],
         horizon=horizon,
         warmup=warmup,
         meta=meta,
-        delay_samples=(
-            [np.asarray(s) for s in delay_buf] if collect_delay_samples else None
-        ),
-        job_log=(
-            np.array(
-                log_rows,
-                dtype=[("jid", np.int64), ("cls", np.int32), ("arrival", float), ("exit", float)],
-            )
-            if log_rows is not None
-            else None
-        ),
+        delay_samples=delay_samples,
+        job_log=job_log,
     )
-
-
-def _env_backend() -> str:
-    """The ``REPRO_SIM_BACKEND`` selector, validated.
-
-    ``python`` (default) runs this engine; ``compiled`` requires the C
-    kernel (warns once and falls back if unavailable); ``auto`` uses
-    the kernel opportunistically and falls back silently.
-    """
-    raw = os.environ.get("REPRO_SIM_BACKEND")
-    if raw is None:
-        return "python"
-    value = raw.strip().lower()
-    if value not in ("python", "compiled", "auto"):
-        raise ModelValidationError(
-            f"REPRO_SIM_BACKEND must be one of ('python', 'compiled', 'auto'), "
-            f"got {raw!r}"
-        )
-    return value
 
 
 def _validate_basic_inputs(
@@ -816,9 +880,16 @@ def _sample_queues(tel, t: float, stations: list) -> None:
             busy = st.n_busy
         populations.append(n)
         busy_counts.append(busy)
-        tel.metrics.gauge(f"sim.tier.{st.index}.population").set(n)
-        tel.metrics.gauge(f"sim.tier.{st.index}.busy_servers").set(busy)
-    tel.tracer.event("sim.queue_sample", t=t, population=populations, busy=busy_counts)
+    _emit_queue_sample(tel, t, populations, busy_counts)
+
+
+def _emit_queue_sample(tel, t: float, populations: list[int], busy: list[int]) -> None:
+    """One queue sample's gauges and ``sim.queue_sample`` event (shared
+    with the compiled path's buffered flush)."""
+    for i, (n, b) in enumerate(zip(populations, busy)):
+        tel.metrics.gauge(f"sim.tier.{i}.population").set(n)
+        tel.metrics.gauge(f"sim.tier.{i}.busy_servers").set(b)
+    tel.tracer.event("sim.queue_sample", t=t, population=populations, busy=busy)
 
 
 def _draw_uniform(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -106,20 +106,24 @@ def confidence_halfwidth(std: float, n: int, level: float = 0.95) -> float:
     return float(_t_quantile(int(n), float(level)) * std / np.sqrt(n))
 
 
-def confidence_halfwidths(stds: np.ndarray, n: int, level: float = 0.95) -> np.ndarray:
+def confidence_halfwidths(stds: np.ndarray, n, level: float = 0.95) -> np.ndarray:
     """Vectorized :func:`confidence_halfwidth` over an array of stds.
 
-    All entries share one sample count ``n``, so a single memoized
-    t-quantile scales the whole array; non-finite stds propagate to
-    NaN half-widths exactly as in the scalar version.
+    ``n`` is one shared sample count or an integer array broadcasting
+    against ``stds``; every entry equals the scalar version's float
+    exactly (same operand order), with NaN below two observations or
+    for a non-finite std.
     """
     if not 0.0 < level < 1.0:
         raise ModelValidationError(f"confidence level must be in (0, 1), got {level}")
     stds = np.asarray(stds, dtype=float)
-    if n < 2:
-        return np.full(stds.shape, np.nan)
-    out = _t_quantile(int(n), float(level)) * stds / np.sqrt(n)
-    return np.where(np.isfinite(stds), out, np.nan)
+    n = np.asarray(n)
+    tq = np.array(
+        [_t_quantile(c, float(level)) if c >= 2 else np.nan for c in n.ravel().tolist()]
+    ).reshape(n.shape)
+    # Below two observations the NaN quantile propagates (raising no
+    # floating-point flags, even against sqrt(0)).
+    return np.where(np.isfinite(stds), tq * stds / np.sqrt(n), np.nan)
 
 
 def batch_means_ci(

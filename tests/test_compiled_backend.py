@@ -134,6 +134,23 @@ def test_single_run_bit_identical_delay_samples_and_log(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("backend_env", ["python", "compiled"])
+def test_warmup_discard_warning_points_at_caller(backend_env, monkeypatch):
+    """Both engines emit the warning once, from the shared finalize, at
+    the frame that called simulate()."""
+    from repro.exceptions import WarmupDiscardWarning
+    from repro.experiments.common import small_cluster, small_workload
+
+    if backend_env == "compiled" and not COMPILED_AVAILABLE:
+        pytest.skip("compiled kernel unavailable (no C toolchain?)")
+    monkeypatch.setenv("REPRO_SIM_BACKEND", backend_env)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        simulate(small_cluster(), small_workload(), horizon=5, warmup_fraction=0.9)
+    (w,) = [w for w in caught if issubclass(w.category, WarmupDiscardWarning)]
+    assert w.filename == __file__
+
+
 # ---------------------------------------------------------------------------
 # backend selection and fallback semantics
 # ---------------------------------------------------------------------------
@@ -320,27 +337,15 @@ def test_queue_sampling_telemetry_identical(monkeypatch, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _decision(cluster, seed=0, epoch_controller=None):
-    return compiled_mod._unsupported_reason(cluster, seed, epoch_controller)
-
-
-def test_unsupported_reason_none_for_epoch_controller():
-    from repro.experiments.common import canonical_cluster
-
-    assert _decision(canonical_cluster(), epoch_controller=_epoch_controller) is None
-
-
-def test_unsupported_reason_none_for_antithetic_seed():
-    from repro.experiments.common import canonical_cluster
-
-    for member in RngStreams.replication_seed_pairs(3, 1)[0]:
-        assert _decision(canonical_cluster(), seed=member) is None
+# Epoch controllers and antithetic seeds are no longer inputs of the
+# decision; their compiled runs are covered by the parity tests above,
+# which turn any fallback warning into an error.
 
 
 def test_unsupported_reason_none_for_ps_tiers():
     from repro.experiments.common import canonical_cluster
 
-    assert _decision(canonical_cluster(discipline="ps")) is None
+    assert compiled_mod._unsupported_reason(canonical_cluster(discipline="ps")) is None
 
 
 def test_unsupported_reason_none_for_queue_sampling(monkeypatch, tmp_path):
@@ -350,7 +355,7 @@ def test_unsupported_reason_none_for_queue_sampling(monkeypatch, tmp_path):
     from repro.obs import telemetry_session
 
     with telemetry_session(tmp_path, sample_queues=True):
-        assert _decision(canonical_cluster()) is None
+        assert compiled_mod._unsupported_reason(canonical_cluster()) is None
 
 
 def test_unsupported_reason_exact_string_for_unknown_discipline():
@@ -361,7 +366,7 @@ def test_unsupported_reason_exact_string_for_unknown_discipline():
     tier = SimpleNamespace(discipline="edf")
     cluster = SimpleNamespace(tiers=[tier])
     assert (
-        _decision(cluster)
+        compiled_mod._unsupported_reason(cluster)
         == "tier discipline 'edf' is not modeled by the compiled kernel"
     )
 
@@ -374,7 +379,7 @@ def test_unsupported_reason_fallback_matches_and_auto_silent(monkeypatch):
     monkeypatch.setattr(
         compiled_mod,
         "_unsupported_reason",
-        lambda cluster, seed, epoch_controller: "synthetic out-of-envelope reason",
+        lambda cluster: "synthetic out-of-envelope reason",
     )
     monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
     ref = simulate(canonical_cluster(), canonical_workload(), horizon=30.0, seed=4)

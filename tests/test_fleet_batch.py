@@ -157,6 +157,90 @@ def test_chunk_plan_and_auto_sizing():
     assert _resolve_batch_size(100, 30, 60, 1) == 30  # clamped to scenario
 
 
+@needs_kernel
+def test_fleet_queue_sampling_runs_batched(tmp_path, monkeypatch):
+    # A chunk under telemetry queue sampling takes the batched entry and
+    # flushes the same sim.queue_sample rows, in the same order, as
+    # unit-at-a-time runs.
+    import json
+
+    from repro.obs import telemetry_session
+    from repro.simulation import compiled
+
+    batched = []
+    real_batch = compiled.maybe_simulate_fleet_batch
+
+    def counting_batch(*args, **kwargs):
+        result = real_batch(*args, **kwargs)
+        batched.append(result is not None)
+        return result
+
+    monkeypatch.setattr(compiled, "maybe_simulate_fleet_batch", counting_batch)
+
+    def sampled(backend, batch_size, name):
+        out = tmp_path / name
+        with telemetry_session(out / "tel", sample_queues=True, queue_sample_interval=1.0):
+            run_fleet(
+                _scenarios(),
+                4,
+                out / "store",
+                seed=5,
+                n_jobs=1,
+                backend=backend,
+                batch_size=batch_size,
+                store_format="npz",
+            )
+        rows = []
+        for path in sorted((out / "tel").glob("*.jsonl")):
+            for line in path.read_text().splitlines():
+                rec = json.loads(line)
+                if rec.get("name") == "sim.queue_sample":
+                    rec.pop("ts", None)  # wall-clock stamp, not simulated time
+                    rows.append(rec)
+        return rows, _canonical_rows(out / "store")
+
+    ref_rows, ref_store = sampled("python", 1, "unit")
+    got_rows, got_store = sampled("compiled", 4, "batched")
+    assert batched == [True, True]
+    assert len(ref_rows) > 0
+    assert got_rows == ref_rows
+    assert got_store == ref_store
+
+
+@needs_kernel
+def test_batch_finalize_fields_match_simulate_per_seed(monkeypatch):
+    # The chunk's per-replication finalize fields are the same floats
+    # simulate() produces for each seed, well beyond the store columns.
+    from repro.simulation import compiled, simulate
+    from repro.simulation.fleet import _unit_seed
+
+    cluster, workload = small_cluster(), small_workload(0.8)
+    seeds = [_unit_seed(9, 0, r) for r in range(5)]
+    fields, failures = compiled.maybe_simulate_fleet_batch(
+        "compiled", cluster, workload, 30.0, 0.1, seeds
+    )
+    assert failures == []
+    assert fields["index"].tolist() == list(range(5))
+    monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
+    for b, seed in enumerate(seeds):
+        res = simulate(cluster, workload, horizon=30.0, warmup_fraction=0.1, seed=seed)
+        for name in (
+            "n_completed",
+            "delays",
+            "delay_std",
+            "delay_ci",
+            "station_waits",
+            "station_sojourns",
+            "utilizations",
+            "per_class_dynamic_energy",
+        ):
+            np.testing.assert_array_equal(fields[name][b], getattr(res, name), err_msg=name)
+        assert fields["average_power"][b] == res.average_power
+        assert fields["energy_per_request"][b] == res.energy_per_request
+        for key in ("n_events", "n_jobs_created", "n_warmup_discarded"):
+            assert fields[key][b] == res.meta[key], key
+
+
 # ---------------------------------------------------------------------------
 # failure accounting
 # ---------------------------------------------------------------------------
