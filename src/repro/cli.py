@@ -22,8 +22,8 @@ Commands
     With ``--target-rel-ci`` the adaptive engine picks the
     replication count and reports the per-round precision trace.
 ``fleet --out DIR [--load-factors ...] [--replications N] [--jobs N]``
-    Fleet-scale sweep: every (scenario × replication) unit pulled off
-    a shared work-stealing queue by a process pool, one compact metric
+    Fleet-scale sweep: (scenario × replication) units run in chunks on
+    the work-stealing worker pool, one compact metric
     row per unit streamed into a columnar result store (Parquet when
     ``pyarrow`` is importable, compressed npz otherwise). With
     ``--telemetry DIR``, ``repro status DIR`` tails live progress;
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=-1,
-        help="worker processes pulling units off the shared queue (-1 = all cores)",
+        help="worker processes taking chunks of units from the pool (-1 = all cores)",
     )
     fleet_p.add_argument(
         "--batch-size",

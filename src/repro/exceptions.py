@@ -58,6 +58,10 @@ class SimulationError(ReproError, RuntimeError):
     """The discrete-event simulator reached an inconsistent state."""
 
 
+class WorkerLostError(ReproError, RuntimeError):
+    """A worker process died before answering the task it was running."""
+
+
 class ReproWarning(UserWarning):
     """Base class for all warnings issued by the :mod:`repro` package."""
 

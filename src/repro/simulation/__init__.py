@@ -11,7 +11,7 @@ High-level entry points:
 * :func:`simulate` — one replication of a cluster + workload.
 * :func:`simulate_replications` — independent replications with
   aggregate means and confidence intervals; ``n_jobs`` parallelizes
-  over a process pool and ``cache_dir`` memoizes finished replications
+  over the shared :class:`WorkerPool` and ``cache_dir`` memoizes finished replications
   on disk (results bit-identical either way).
 * :func:`simulate_replications_adaptive` — the same engine under a
   sequential stopping rule: replicate in rounds until a
@@ -19,7 +19,7 @@ High-level entry points:
 * :func:`compare_scenarios` — two scenarios under common random
   numbers with paired-t difference intervals.
 * :func:`run_fleet` — fleet-scale (scenario × replication) sweeps
-  through a work-stealing process pool into a columnar
+  through the same work-stealing :class:`WorkerPool` into a columnar
   :class:`FleetStore`.
 * :class:`SimulationCache` — the content-addressed replication cache.
 """
@@ -28,12 +28,7 @@ from repro.simulation.rng import AntitheticSeed, BlockCursor, CoupledGenerator, 
 from repro.simulation.stats import Welford, batch_means_ci, confidence_halfwidth
 from repro.simulation.simulator import SimulationResult, simulate
 from repro.simulation.cache import CacheUnsupportedError, SimulationCache, simulation_fingerprint
-from repro.simulation.parallel import (
-    ProcessPoolBackend,
-    ReplicationTiming,
-    SerialBackend,
-    resolve_n_jobs,
-)
+from repro.simulation.parallel import ReplicationTiming, WorkerPool, resolve_n_jobs
 from repro.simulation.replications import ReplicatedResult, simulate_replications
 from repro.simulation.vrt import (
     VrEstimate,
@@ -84,8 +79,7 @@ __all__ = [
     "CacheUnsupportedError",
     "simulation_fingerprint",
     "ReplicationTiming",
-    "SerialBackend",
-    "ProcessPoolBackend",
+    "WorkerPool",
     "resolve_n_jobs",
     "FleetScenario",
     "FleetSummary",

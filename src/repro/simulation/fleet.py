@@ -5,38 +5,37 @@ shaped for *one* scenario at a time; a policy-evaluation grid in the
 style of Neely's trace-driven studies is thousands of independent
 units spanning many scenarios, where static per-scenario chunking
 leaves workers idle whenever scenarios have unequal cost (higher load
-⇒ more events ⇒ slower units). :func:`run_fleet` shards the flat unit
-index space across worker processes through a **shared chunk queue**
-(work stealing: each worker pulls the next chunk the moment it goes
-idle), runs each chunk's replications through one batched
+⇒ more events ⇒ slower units). :func:`run_fleet` cuts the flat unit
+index space into ``(scenario, rep0, count)`` chunks, each one task on
+the shared :class:`~repro.simulation.parallel.WorkerPool` (work
+stealing: each worker takes the next chunk the moment it goes idle).
+A chunk runs its replications through one batched
 :func:`~repro.simulation.compiled.maybe_simulate_fleet_batch` kernel
 call (falling back to unit-at-a-time
 :func:`~repro.simulation.simulator.simulate` when the batch path does
-not apply), and writes the result rows columnar into a
-:class:`~repro.simulation.results_store.FleetStore` — no per-run
-pickles, one queryable artifact per sweep.
+not apply), and its rows come back as schema-dtyped column arrays that
+are appended to a :class:`~repro.simulation.results_store.FleetStore`
+— no per-run pickles, one queryable artifact per sweep.
 
-Three layers keep the path batch-native end to end:
+Two layers keep the path batch-native end to end:
 
 * **Chunked dispatch** — work units travel as ``(scenario, rep0,
   count)`` chunks (never crossing a scenario boundary), auto-sized
   from the grid shape and worker count or pinned with ``batch_size``;
   the simulation backend is resolved once in :func:`run_fleet` and
-  threaded explicitly to every worker instead of re-read from the
-  environment per unit.
+  pinned in every worker instead of re-read from the environment per
+  unit.
 * **Batched kernel dispatch** — a chunk of B replications of one
   scenario is a single C call: kernel state, station arrays and RNG
   arenas are allocated once and reset between replications, with the
   per-unit ``SeedSequence(seed, spawn_key=(scenario, replication))``
   streams preserved so every row is bit-identical to the
   unit-at-a-time path for any chunk size, worker count or steal order.
-* **Zero-copy result transport** — pool workers write finished rows
-  straight into one preallocated ``multiprocessing.shared_memory``
-  segment (one dtype-correct column block per store column, indexed
-  by absolute unit id); the result queue carries only small control
-  messages (chunk handoff + failures), drained in batches, and the
-  parent slices row groups out of the shared block without pickling a
-  single row dict.
+
+A chunk's columns travel back pickled, one message per chunk (a few
+kilobytes at the default chunk sizes). A worker that dies costs only
+the chunk it was running: its units are counted as failed and the
+pool replaces the worker for the remaining chunks.
 
 Determinism is scheduling-independent: unit ``(s, r)`` always runs
 under ``SeedSequence(master_seed, spawn_key=(s, r))``, computed inside
@@ -54,7 +53,6 @@ from __future__ import annotations
 
 import math
 import os
-import queue as queue_mod
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
@@ -63,8 +61,8 @@ import numpy as np
 
 from repro import obs
 from repro.exceptions import ModelValidationError
-from repro.simulation.compiled import kernel_available, resolve_backend
-from repro.simulation.parallel import resolve_n_jobs
+from repro.simulation.compiled import resolve_backend
+from repro.simulation.parallel import WorkerPool, resolve_n_jobs
 from repro.simulation.results_store import FleetStore, _column_dtype
 from repro.simulation.simulator import _mean_delay
 
@@ -170,7 +168,7 @@ def _chunk_plan(
 
 
 def _run_chunk(
-    scenarios: list[FleetScenario],
+    sc: FleetScenario,
     master_seed: int,
     n_replications: int,
     sid: int,
@@ -192,7 +190,6 @@ def _run_chunk(
     from repro.simulation import compiled
     from repro.simulation.simulator import simulate
 
-    sc = scenarios[sid]
     base_unit = sid * n_replications + rep0
     seeds = [_unit_seed(master_seed, sid, rep0 + j) for j in range(count)]
     batch = None
@@ -255,78 +252,6 @@ def _run_chunk(
         cols[f"delay_c{k}"] = delays[:, k]
     columns = {c: np.asarray(cols[c], dtype=_column_dtype(c)) for c in fleet_columns(n_classes)}
     return [base_unit + j for j in ok], columns, [(base_unit + j, m) for j, m in failures]
-
-
-def _shm_views(
-    buf: memoryview, columns: tuple[str, ...], n_units: int
-) -> dict[str, np.ndarray]:
-    """Per-column views into the shared result block.
-
-    Column ``j`` owns bytes ``[j*n_units*8, (j+1)*n_units*8)`` — every
-    store dtype is 8 bytes wide, so one flat segment of
-    ``n_columns * n_units * 8`` bytes holds the whole sweep, indexed by
-    absolute unit id.
-    """
-    return {
-        c: np.ndarray(
-            (n_units,), dtype=_column_dtype(c), buffer=buf, offset=j * n_units * 8
-        )
-        for j, c in enumerate(columns)
-    }
-
-
-def _fleet_worker(
-    task_queue: Any,
-    result_queue: Any,
-    scenarios: list[FleetScenario],
-    master_seed: int,
-    n_replications: int,
-    backend: str,
-    shm_name: str,
-    n_units: int,
-) -> None:
-    """Worker loop: steal chunks until the queue hands a sentinel.
-
-    Runs in a child process; pulls from the shared queue so fast
-    workers automatically absorb slow scenarios' chunks. The backend
-    is pinned once (resolved by the parent — never re-read from the
-    environment per unit) and the compiled kernel is warmed once per
-    process before the first chunk so its one-time cost never lands
-    inside a unit timing. Finished rows go straight into the shared
-    result block at their absolute unit index; only the control tuple
-    ``("chunk", sid, rep0, count, failures)`` rides the queue.
-    """
-    from multiprocessing import shared_memory
-
-    os.environ["REPRO_SIM_BACKEND"] = backend
-    if backend != "python":
-        kernel_available()
-    columns = fleet_columns(len(tuple(scenarios[0].workload.names)))
-    shm = shared_memory.SharedMemory(name=shm_name)
-    views = _shm_views(shm.buf, columns, n_units)
-    try:
-        while True:
-            chunk = task_queue.get()
-            if chunk is None:
-                return
-            sid, rep0, count = chunk
-            try:
-                ok_units, cols, failures = _run_chunk(
-                    scenarios, master_seed, n_replications, sid, rep0, count, backend
-                )
-            except Exception as exc:  # defensive: the whole chunk is lost
-                ok_units, cols = [], {}
-                msg = f"{type(exc).__name__}: {exc}"
-                base = sid * n_replications + rep0
-                failures = [(base + j, msg) for j in range(count)]
-            if ok_units:
-                idx = np.asarray(ok_units, dtype=np.intp)
-                for c in columns:
-                    views[c][idx] = cols[c]
-            result_queue.put(("chunk", sid, rep0, count, failures))
-    finally:
-        del views
-        shm.close()
 
 
 def run_fleet(
@@ -410,7 +335,7 @@ def run_fleet(
             "class_names": list(class_names),
             "backend": resolved_backend,
             "batch_size": batch,
-            "transport": "inline" if n_workers == 1 else "shared_memory",
+            "transport": "inline" if n_workers == 1 else "pickle",
             "scenarios": [
                 {
                     "scenario": i,
@@ -448,47 +373,32 @@ def run_fleet(
         if progress is not None:
             progress(n_done, n_failed, n_units)
 
+    tasks = [
+        (scenarios[sid], seed, n_replications, sid, rep0, count, resolved_backend)
+        for sid, rep0, count in chunks
+    ]
     with obs.span(
         "fleet.run", n_units=n_units, n_workers=n_workers, batch_size=batch
-    ):
+    ), WorkerPool(n_workers, backend=resolved_backend) as pool:
         try:
-            if n_workers == 1:
-                prev_backend = os.environ.get("REPRO_SIM_BACKEND")
-                os.environ["REPRO_SIM_BACKEND"] = resolved_backend
-                try:
-                    for sid, rep0, count in chunks:
-                        ok_units, cols, chunk_failures = _run_chunk(
-                            scenarios,
-                            seed,
-                            n_replications,
-                            sid,
-                            rep0,
-                            count,
-                            resolved_backend,
-                        )
-                        if ok_units:
-                            store.append_columns(cols)
-                            n_done += len(ok_units)
-                        n_failed += len(chunk_failures)
-                        failures.extend(chunk_failures)
-                        report()
-                finally:
-                    if prev_backend is None:
-                        os.environ.pop("REPRO_SIM_BACKEND", None)
-                    else:
-                        os.environ["REPRO_SIM_BACKEND"] = prev_backend
-            else:
-                n_done, n_failed, failures = _run_fleet_pool(
-                    scenarios,
-                    seed,
-                    n_replications,
-                    n_units,
-                    n_workers,
-                    resolved_backend,
-                    chunks,
-                    store,
-                    report,
-                )
+            for i, ok, value in pool.run(_run_chunk, tasks):
+                if ok:
+                    ok_units, cols, chunk_failures = value
+                else:  # the chunk raised outside the unit loop, or its worker died
+                    sid, rep0, count = chunks[i]
+                    base = sid * n_replications + rep0
+                    msg = f"{type(value).__name__}: {value}"
+                    ok_units, chunk_failures = [], [(base + j, msg) for j in range(count)]
+                if ok_units:
+                    store.append_columns(cols)
+                    n_done += len(ok_units)
+                    if n_workers > 1:
+                        # Workers' counters die with them; inline chunks
+                        # already counted their events.
+                        obs.counter("sim.events").add(int(cols["n_events"].sum()))
+                n_failed += len(chunk_failures)
+                failures.extend(chunk_failures)
+                report()
         finally:
             wall = time.perf_counter() - start
             store.close(
@@ -521,107 +431,3 @@ def run_fleet(
         units_per_sec=n_done / max(wall, 1e-9),
     )
 
-
-def _run_fleet_pool(
-    scenarios: list[FleetScenario],
-    seed: int,
-    n_replications: int,
-    n_units: int,
-    n_workers: int,
-    backend: str,
-    chunks: list[tuple[int, int, int]],
-    store: FleetStore,
-    report: Callable[..., None],
-) -> tuple[int, int, list[tuple[int, str]]]:
-    """The multi-process path: shared chunk queue + shared result block.
-
-    The task queue is loaded with every chunk up front (small: three
-    ints each) followed by one ``None`` sentinel per worker. Result
-    rows never ride the queue — workers write them into one
-    ``SharedMemory`` segment holding a dtype-correct block per store
-    column, indexed by absolute unit id; the queue only carries
-    ``("chunk", sid, rep0, count, failures)`` control tuples, which the
-    parent drains in batches (one blocking ``get`` then ``get_nowait``
-    until empty) and turns into zero-copy column slices appended to the
-    store. A worker that dies mid-chunk is detected by liveness checks
-    on the drain loop so the parent cannot hang on a lost chunk.
-    """
-    import multiprocessing as mp
-    from multiprocessing import shared_memory
-
-    ctx = mp.get_context()
-    columns = store.columns
-    shm = shared_memory.SharedMemory(
-        create=True, size=max(len(columns) * n_units * 8, 8)
-    )
-    task_queue: Any = ctx.Queue()
-    result_queue: Any = ctx.Queue()
-    for chunk in chunks:
-        task_queue.put(chunk)
-    for _ in range(n_workers):
-        task_queue.put(None)
-    workers = [
-        ctx.Process(
-            target=_fleet_worker,
-            args=(
-                task_queue,
-                result_queue,
-                scenarios,
-                seed,
-                n_replications,
-                backend,
-                shm.name,
-                n_units,
-            ),
-            daemon=True,
-        )
-        for _ in range(n_workers)
-    ]
-    for w in workers:
-        w.start()
-
-    n_done = 0
-    n_failed = 0
-    failures: list[tuple[int, str]] = []
-    received_units = 0
-    views = _shm_views(shm.buf, columns, n_units)
-    try:
-        while received_units < n_units:
-            try:
-                messages = [result_queue.get(timeout=1.0)]
-            except queue_mod.Empty:
-                if not any(w.is_alive() for w in workers):
-                    # All workers gone with chunks outstanding: crashed
-                    # mid-chunk (OOM/kill). Report what's missing.
-                    missing = n_units - received_units
-                    failures.append((-1, f"{missing} unit(s) lost to dead workers"))
-                    n_failed += missing
-                    break
-                continue
-            while True:  # batch-drain whatever else already arrived
-                try:
-                    messages.append(result_queue.get_nowait())
-                except queue_mod.Empty:
-                    break
-            for _kind, sid, rep0, count, chunk_failures in messages:
-                received_units += count
-                base = sid * n_replications + rep0
-                failed_units = {u for u, _ in chunk_failures}
-                ok = [base + j for j in range(count) if base + j not in failed_units]
-                if ok:
-                    idx = np.asarray(ok, dtype=np.intp)
-                    store.append_columns({c: views[c][idx].copy() for c in columns})
-                    n_done += len(ok)
-                n_failed += len(chunk_failures)
-                failures.extend(chunk_failures)
-            report()
-    finally:
-        for w in workers:
-            w.join(timeout=5.0)
-        for w in workers:
-            if w.is_alive():
-                w.terminate()
-        del views
-        shm.close()
-        shm.unlink()
-    return n_done, n_failed, failures

@@ -8,11 +8,12 @@ tree. :func:`simulate_replications` is what the validation experiments
 
 The replication engine is parallel and cached:
 
-* ``n_jobs`` fans replications out over a process pool
-  (:mod:`repro.simulation.parallel`). Every replication's RNG tree
-  still comes from the same ``RngStreams.replication_seeds``
-  SeedSequence child, and aggregation is ordered by replication index,
-  so the numbers are **bit-identical for any worker count**.
+* ``n_jobs`` fans replications out over the shared worker pool
+  (:class:`repro.simulation.parallel.WorkerPool`), one replication per
+  task. Every replication's RNG tree still comes from the same
+  ``RngStreams.replication_seeds`` SeedSequence child, and aggregation
+  is ordered by replication index, so the numbers are
+  **bit-identical for any worker count**.
 * ``cache_dir`` memoizes per-replication results on disk
   (:mod:`repro.simulation.cache`), keyed by a content hash of the full
   configuration; re-running a suite skips already-computed work.
@@ -31,20 +32,17 @@ import numpy as np
 
 from repro import obs
 from repro.cluster.model import ClusterModel
-from repro.exceptions import ModelValidationError
+from repro.exceptions import ModelValidationError, WorkerLostError
 from repro.simulation.cache import (
     CacheUnsupportedError,
     SimulationCache,
     simulation_fingerprint,
 )
 from repro.simulation.parallel import (
-    PoolSession,
-    ProcessPoolBackend,
     ReplicationTiming,
-    SerialBackend,
-    SerialSession,
-    get_backend,
+    WorkerPool,
     payload_is_picklable,
+    resolve_n_jobs,
 )
 from repro.simulation.rng import RngStreams
 from repro.simulation.simulator import SimulationResult, simulate
@@ -277,15 +275,22 @@ def _resolve_cache(cache_dir: str | SimulationCache | None) -> SimulationCache |
     return SimulationCache(cache_dir)
 
 
+def _run_one(sim_kwargs: dict[str, Any]) -> tuple[SimulationResult, float]:
+    """Pool task: run one replication, timed inside the worker."""
+    t0 = time.perf_counter()
+    result = simulate(**sim_kwargs)
+    return result, time.perf_counter() - t0
+
+
 class _ReplicationRunner:
     """Cache-aware incremental dispatcher for one replication family.
 
     Owns the seed list, the on-disk cache pass, payload construction
-    and backend dispatch for a fixed configuration. The fixed-count
-    engine asks for every index at once; the adaptive engine
+    and pool dispatch for a fixed configuration. The fixed-count engine
+    asks for every index at once; the adaptive engine
     (:mod:`repro.simulation.adaptive`) calls :meth:`ensure` round by
-    round against one live worker session (use the runner as a context
-    manager so the session is torn down).
+    round against one live :class:`WorkerPool` (use the runner as a
+    context manager so the pool is stopped).
 
     ``results`` is keyed by replication index; aggregation over an
     *ordered prefix* of it is what makes the numbers independent of
@@ -309,18 +314,16 @@ class _ReplicationRunner:
         self.timings: list[ReplicationTiming] = []
         self.cache_state = "disabled" if cache is None else "enabled"
         self._fingerprints: dict[int, str] = {}
-        self._backend = get_backend(n_jobs)
-        self._session: SerialSession | PoolSession | None = None
-        self._session_used = False  # survives __exit__, unlike _session
+        self._n_workers = resolve_n_jobs(n_jobs)
+        self._pool: WorkerPool | None = None  # created by the first simulating round
         self._n_done = 0
 
     def __enter__(self) -> "_ReplicationRunner":
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._session is not None:
-            self._session.__exit__()
-            self._session = None
+        if self._pool is not None:
+            self._pool.close()
 
     def _notify(self, timing: ReplicationTiming) -> None:
         self._n_done += 1
@@ -372,7 +375,8 @@ class _ReplicationRunner:
         """Make ``results[i]`` available for every ``i`` in ``indices``.
 
         Cache pass first (hits are notified with a zero-cost timing
-        record), then one backend round for whatever is left.
+        record), then one pool round for whatever is left. A failed
+        replication re-raises its own exception.
         """
         needed = [i for i in indices if i not in self.results]
         if self.cache is not None:
@@ -386,28 +390,25 @@ class _ReplicationRunner:
                     self._notify(
                         ReplicationTiming(index=i, wall_time_s=0.0, n_events=0, cached=True)
                     )
-        payloads = [
-            (i, {**self.sim_kwargs, "seed": self.seeds[i]})
-            for i in needed
-            if i not in self.results
-        ]
-        if not payloads:
+        todo = [i for i in needed if i not in self.results]
+        if not todo:
             return
-        if self._session is None:
-            backend = self._backend
-            if not isinstance(backend, SerialBackend) and not payload_is_picklable(payloads[0]):
-                self._backend = backend = SerialBackend()
+        payloads = [({**self.sim_kwargs, "seed": self.seeds[i]},) for i in todo]
+        if self._pool is None:
+            n = self._n_workers
+            if n > 1 and not payload_is_picklable(payloads[0]):
+                n = 1
                 self.cache_state += "+serial-fallback"
-            if isinstance(backend, ProcessPoolBackend):
-                # Right-size the pool to the work that could still
-                # possibly arrive in this session.
-                remaining = len(self.seeds) - len(self.results)
-                backend = ProcessPoolBackend(min(backend.n_workers, max(remaining, 1)))
-            self._backend = backend
-            self._session = backend.session().__enter__()
-            self._session_used = True
-
-        def on_done(index: int, result: SimulationResult, wall: float) -> None:
+            # Right-size the pool to the work that could still arrive.
+            remaining = len(self.seeds) - len(self.results)
+            self._pool = WorkerPool(min(n, max(remaining, 1)))
+        for k, ok, value in self._pool.run(_run_one, payloads):
+            index = todo[k]
+            if not ok:
+                if isinstance(value, WorkerLostError):
+                    raise WorkerLostError(f"replication {index} was lost: {value}")
+                raise value
+            result, wall = value
             self.results[index] = result
             fp = self._fingerprints.get(index)
             if self.cache is not None and fp is not None:
@@ -419,8 +420,6 @@ class _ReplicationRunner:
                     n_events=int(result.meta.get("n_events", 0)),
                 )
             )
-
-        self._session.run(payloads, on_done)
 
     def runs(self, n: int) -> list[SimulationResult]:
         """The ordered result prefix ``[0, n)`` (every index must exist)."""
@@ -438,15 +437,15 @@ class _ReplicationRunner:
         )
         obs.counter("sim.cache.hits").add(cache_hits)
         obs.counter("sim.cache.misses").add(cache_misses)
-        # Process-pool workers run un-traced (the registry lives in the
-        # parent), so their event totals are recorded here from the
-        # counts that traveled back with each result.
-        used = self._session_used
-        if used and not isinstance(self._backend, SerialBackend):
+        # Pool workers run un-traced (the registry lives in the parent),
+        # so their event totals are recorded here from the counts that
+        # traveled back with each result.
+        n_workers = self._pool.n_workers if self._pool is not None else 0
+        if n_workers > 1:
             obs.counter("sim.events").add(sum(rec.n_events for rec in timings if not rec.cached))
         return {
-            "backend": self._backend.name if used else "cache",
-            "n_jobs": getattr(self._backend, "n_workers", 1) if used else 0,
+            "backend": {0: "cache", 1: "serial"}.get(n_workers, "process"),
+            "n_jobs": n_workers,
             "cache": self.cache_state,
             "cache_hits": cache_hits,
             "cache_misses": cache_misses,

@@ -168,10 +168,10 @@ class FleetStore:
         """Buffer a block of rows already in columnar form.
 
         ``arrays`` must provide exactly the store's columns, all the
-        same length; each is coerced to the schema dtype. This is the
-        zero-copy ingest path the fleet runner's shared-memory
-        transport feeds — a block goes into the buffer as one segment,
-        never exploded into per-row tuples.
+        same length; each is coerced to the schema dtype. The fleet
+        runner appends each finished chunk's columns through here — a
+        block goes into the buffer as one segment, never exploded into
+        per-row tuples.
         """
         self._check_writable()
         if set(arrays) != set(self.columns):

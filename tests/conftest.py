@@ -17,6 +17,19 @@ def rng():
 
 
 @pytest.fixture
+def hang_guard():
+    """Bound a test that could hang on a lost worker: after 120 s every
+    thread's stack is dumped and the test process exits."""
+    import faulthandler
+
+    faulthandler.dump_traceback_later(120, exit=True)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
 def telemetry(tmp_path):
     """Global telemetry enabled into a temp dir; always disabled after.
 

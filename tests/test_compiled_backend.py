@@ -24,7 +24,8 @@ import pytest
 from repro.exceptions import CompiledFallbackWarning, ModelValidationError
 from repro.simulation import RngStreams, simulate
 from repro.simulation import compiled as compiled_mod
-from repro.simulation.parallel import ProcessPoolBackend, SerialBackend
+from repro.simulation.parallel import WorkerPool
+from repro.simulation.replications import _ReplicationRunner, _run_one
 
 import test_golden_sim_metrics as golden_mod
 
@@ -70,26 +71,25 @@ def _epoch_controller(t, queues, speeds):
 
 
 def _replication_numbers(backend_env, n_jobs, with_controller, monkeypatch):
-    """Snapshot of 3 replications run through the requested execution
-    backend (serial loop vs 2-worker process pool) under the requested
-    simulation backend, with the epoch controller optionally engaged
-    (which routes each run to the Python engine by design)."""
+    """Snapshot of 3 replications run through the replication engine
+    (inline vs 2-worker pool) under the requested simulation backend,
+    with the epoch controller optionally engaged (which routes each run
+    to the Python engine by design). The engine's runner is driven
+    directly because ``simulate_replications`` does not forward the
+    epoch options."""
     monkeypatch.setenv("REPRO_SIM_BACKEND", backend_env)
     from repro.experiments.common import canonical_cluster, canonical_workload
 
-    cluster, workload = canonical_cluster(), canonical_workload()
-    extra = {}
+    sim_kwargs = dict(cluster=canonical_cluster(), workload=canonical_workload(), horizon=80.0)
     if with_controller:
-        extra = {"epoch_times": [20.0, 40.0, 60.0], "epoch_controller": _epoch_controller}
-    payloads = [
-        (i, dict(cluster=cluster, workload=workload, horizon=80.0, seed=child, **extra))
-        for i, child in enumerate(RngStreams.replication_seeds(42, 3))
-    ]
-    backend = SerialBackend() if n_jobs == 1 else ProcessPoolBackend(n_jobs)
+        sim_kwargs.update(epoch_times=[20.0, 40.0, 60.0], epoch_controller=_epoch_controller)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CompiledFallbackWarning)
-        out = backend.run(payloads)
-    return {i: golden_mod._snapshot(res) for i, (res, _wall) in sorted(out.items())}
+        seeds = RngStreams.replication_seeds(42, 3)
+        with _ReplicationRunner(sim_kwargs, seeds, n_jobs=n_jobs) as runner:
+            runner.ensure(range(3))
+    assert runner.meta(0.0)["n_jobs"] == n_jobs
+    return {i: golden_mod._snapshot(res) for i, res in enumerate(runner.runs(3))}
 
 
 @needs_kernel
@@ -406,7 +406,6 @@ def _payloads(n=3, horizon=60.0, seed=77):
     cluster, workload = canonical_cluster(), canonical_workload()
     return [
         (
-            i,
             {
                 "cluster": cluster,
                 "workload": workload,
@@ -415,38 +414,36 @@ def _payloads(n=3, horizon=60.0, seed=77):
                 "seed": child,
             },
         )
-        for i, child in enumerate(RngStreams.replication_seeds(seed, n))
+        for child in RngStreams.replication_seeds(seed, n)
     ]
 
 
-def _result_bits(out):
-    return {
-        i: (res.delays.tolist(), res.average_power, res.meta["n_events"])
-        for i, (res, _wall) in out.items()
-    }
+def _result_bits(n_workers, payloads):
+    """Per-replication bits of ``payloads`` run on a pool of ``n_workers``."""
+    out = {}
+    with WorkerPool(n_workers) as pool:
+        for i, ok, value in pool.run(_run_one, payloads):
+            assert ok, value
+            res, _wall = value
+            out[i] = (res.delays.tolist(), res.average_power, res.meta["n_events"])
+    return out
 
 
 def test_warm_start_initializer_identical_results():
-    """The per-process warm-up initializer must not change a single bit
-    of any replication, relative to cold workers and the serial loop."""
+    """The per-worker warm-up must not change a single bit of any
+    replication, relative to the inline loop."""
     payloads = _payloads()
-    serial = _result_bits(SerialBackend().run(payloads))
-    warm = _result_bits(ProcessPoolBackend(2, warm_start=True).run(payloads))
-    cold = _result_bits(ProcessPoolBackend(2, warm_start=False).run(payloads))
-    assert warm == serial
-    assert cold == serial
+    assert _result_bits(2, payloads) == _result_bits(1, payloads)
 
 
 @needs_kernel
 def test_warm_start_compiled_backend_identical_results(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_BACKEND", "compiled")
     payloads = _payloads(n=2, horizon=40.0)
-    warm = _result_bits(ProcessPoolBackend(2, warm_start=True).run(payloads))
-    cold = _result_bits(ProcessPoolBackend(2, warm_start=False).run(payloads))
+    pooled = _result_bits(2, payloads)
     monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
-    serial = _result_bits(SerialBackend().run(payloads))
-    assert warm == serial
-    assert cold == serial
+    serial = _result_bits(1, payloads)
+    assert pooled == serial
 
 
 def test_warm_worker_runs_in_process(monkeypatch):
@@ -483,24 +480,29 @@ def test_warm_worker_inherits_warned_reasons(monkeypatch):
         compiled_mod._warn_fallback("synthetic reason already shown")
 
 
+_SEEN_WARNED: tuple[str, ...] | None = None
+
+
+def _recording_warm_worker(backend=None, warned=()):
+    """Stand-in worker warm-up that records the snapshot it was handed."""
+    global _SEEN_WARNED
+    _SEEN_WARNED = warned
+
+
+def _seen_warned():
+    return _SEEN_WARNED
+
+
+@pytest.mark.skipif(
+    __import__("multiprocessing").get_start_method() != "fork",
+    reason="the recording warm-up reaches workers only through fork",
+)
 def test_pool_initargs_carry_warned_snapshot(monkeypatch):
-    """The live pool wires the snapshot through initargs."""
+    """The live pool hands every worker the parent's snapshot at start-up."""
     from repro.simulation import parallel as parallel_mod
 
     compiled_mod._warned.add("pool-visible reason")
-    captured = {}
-
-    class _FakeExecutor:
-        def __init__(self, max_workers=None, initializer=None, initargs=()):
-            captured["initargs"] = initargs
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _FakeExecutor)
-    session = parallel_mod.PoolSession(2, warm_start=True)
-    try:
-        session.run([(0, {})])
-    except Exception:
-        pass  # the fake executor cannot run payloads; pool creation is the point
-    assert captured["initargs"][1] == ("pool-visible reason",)
+    monkeypatch.setattr(parallel_mod, "_warm_worker", _recording_warm_worker)
+    with parallel_mod.WorkerPool(2) as pool:
+        seen = [value for _i, _ok, value in pool.run(_seen_warned, [(), ()])]
+    assert seen == [("pool-visible reason",)] * 2

@@ -3,7 +3,7 @@
 The fleet runner's contract is *scheduling-independent determinism*:
 unit ``u``'s row depends only on ``(master_seed, scenario,
 replication)``, never on which worker ran it or in what order units
-were stolen from the shared queue. These tests pin that, plus the
+were taken from the worker pool. These tests pin that, plus the
 store's schema validation, aggregation math, reopen semantics, the
 sqlite summary ingest, live progress, and the CLI surface.
 """
@@ -11,6 +11,8 @@ sqlite summary ingest, live progress, and the CLI surface.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from repro.experiments.common import small_cluster, small_workload
 from repro.obs.progress import PROGRESS_FILENAME, progress_snapshot, read_progress
 from repro.obs.store import RunStore
 from repro.simulation import FleetScenario, FleetStore, fleet_columns, run_fleet
+from repro.simulation import fleet as fleet_mod
 from repro.simulation.results_store import parquet_available
 
 
@@ -127,6 +130,51 @@ def test_fleet_serial_vs_pool_bit_identical(tmp_path):
     assert a.n_done == b.n_done == 8
     assert a.n_failed == b.n_failed == 0
     assert _canonical_rows(tmp_path / "serial") == _canonical_rows(tmp_path / "pool")
+
+
+def _events_counted(out, n_jobs):
+    """The parent's ``sim.events`` counter after one fleet run."""
+    with obs.telemetry_session(None) as tel:
+        run_fleet(_scenarios(), 4, out, seed=11, n_jobs=n_jobs, store_format="npz")
+        return tel.metrics.snapshot().get("sim.events", {}).get("value")
+
+
+def test_pooled_fleet_records_sim_events(tmp_path):
+    # Pool workers' counters die with them, so the parent records the
+    # events that traveled back with each chunk's rows.
+    serial = _events_counted(tmp_path / "serial", 1)
+    assert serial is not None and serial > 0
+    assert _events_counted(tmp_path / "pool", 2) == serial
+
+
+_REAL_RUN_CHUNK = fleet_mod._run_chunk
+
+
+def _dying_chunk(sc, master_seed, n_replications, sid, rep0, count, backend):
+    """Chunk task that kills its worker on chunk (0, 4) (module-level so
+    the pool can pickle it)."""
+    if (sid, rep0) == (0, 4):
+        os._exit(3)
+    return _REAL_RUN_CHUNK(sc, master_seed, n_replications, sid, rep0, count, backend)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the dying chunk reaches workers only through fork",
+)
+def test_fleet_killed_worker_costs_only_its_chunk(tmp_path, monkeypatch, hang_guard):
+    scenarios = _scenarios()
+    kw = dict(seed=11, batch_size=4, store_format="npz")
+    run_fleet(scenarios, 8, tmp_path / "serial", n_jobs=1, **kw)
+    monkeypatch.setattr(fleet_mod, "_run_chunk", _dying_chunk)
+    summary = run_fleet(scenarios, 8, tmp_path / "pool", n_jobs=2, **kw)
+    assert summary.n_done == 12 and summary.n_failed == 4
+    failures = FleetStore.open(tmp_path / "pool").meta["failures"]
+    assert sorted(u for u, _msg in failures) == [4, 5, 6, 7]
+    assert all(msg.startswith("WorkerLostError") for _u, msg in failures)
+    ref = _canonical_rows(tmp_path / "serial")
+    keep = [i for i, u in enumerate(ref["unit"]) if not 4 <= u <= 7]
+    assert _canonical_rows(tmp_path / "pool") == {c: [v[i] for i in keep] for c, v in ref.items()}
 
 
 def test_fleet_failures_counted_not_fatal(tmp_path):

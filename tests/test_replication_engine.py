@@ -26,7 +26,7 @@ import pytest
 
 from repro.cluster import ClusterModel, PowerModel, ServerSpec, Tier
 from repro.distributions import Deterministic, Exponential
-from repro.exceptions import ModelValidationError, WarmupDiscardWarning
+from repro.exceptions import ModelValidationError, WarmupDiscardWarning, WorkerLostError
 from repro.queueing.routing import ClassRouting, visit_ratio_matrix
 from repro.simulation import (
     CacheUnsupportedError,
@@ -38,7 +38,8 @@ from repro.simulation import (
     simulate_replications,
     simulation_fingerprint,
 )
-from repro.simulation.parallel import ProcessPoolBackend, SerialBackend, get_backend, resolve_n_jobs
+from repro.simulation import replications as replications_mod
+from repro.simulation.parallel import resolve_n_jobs
 from repro.workload import workload_from_rates
 from repro.workload.arrivals import RenewalProcess
 
@@ -323,6 +324,17 @@ class TestNanRobustPercentiles:
 # ----------------------------------------------------------------------
 # Tentpole: parallel determinism and the on-disk cache.
 # ----------------------------------------------------------------------
+_REAL_RUN_ONE = replications_mod._run_one
+
+
+def _dying_run_one(sim_kwargs):
+    """Pool task that kills its worker on replication 1 (module-level so
+    the pool can pickle it)."""
+    if sim_kwargs["seed"].spawn_key[-1] == 1:
+        __import__("os")._exit(3)
+    return _REAL_RUN_ONE(sim_kwargs)
+
+
 class TestParallelDeterminism:
     def test_n_jobs_bit_identical(self, two_class_cluster, two_class_workload):
         serial = simulate_replications(
@@ -363,8 +375,31 @@ class TestParallelDeterminism:
         assert resolve_n_jobs(-1) >= 1
         with pytest.raises(ModelValidationError):
             resolve_n_jobs(-2)
-        assert isinstance(get_backend(None), SerialBackend)
-        assert isinstance(get_backend(2), ProcessPoolBackend)
+
+    @pytest.mark.parametrize("bad", [False, True, 2.0, 1.5, "2"])
+    def test_resolve_n_jobs_rejects_bool_and_non_integral(self, bad):
+        with pytest.raises(ModelValidationError, match="n_jobs must be an integer"):
+            resolve_n_jobs(bad)
+
+    @pytest.mark.skipif(
+        __import__("multiprocessing").get_start_method() != "fork",
+        reason="the dying replication reaches workers only through fork",
+    )
+    def test_killed_worker_raises_naming_the_replication(
+        self, monkeypatch, two_class_cluster, two_class_workload, hang_guard
+    ):
+        # Replication 1's worker dies mid-task: the call must raise a
+        # clear error naming that replication instead of hanging.
+        monkeypatch.setattr(replications_mod, "_run_one", _dying_run_one)
+        with pytest.raises(WorkerLostError, match="replication 1 was lost"):
+            simulate_replications(
+                two_class_cluster,
+                two_class_workload,
+                horizon=50.0,
+                n_replications=3,
+                seed=4,
+                n_jobs=2,
+            )
 
     def test_unpicklable_payload_falls_back_to_serial(
         self, two_class_cluster, two_class_workload
