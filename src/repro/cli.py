@@ -698,24 +698,16 @@ def _cmd_solve(problem: str, load_factor: float, budget_fraction: float, delay_s
 
 def _cmd_telemetry_summarize(path: str, top: int = 10) -> int:
     """Render a ``--telemetry`` artifact as human-readable tables."""
-    import json
-    import pathlib
     import time
 
     from repro.analysis.tables import ascii_table
-    from repro.obs import EVENTS_FILENAME, MANIFEST_FILENAME
+    from repro.obs import EVENTS_FILENAME, read_artifact
 
-    root = pathlib.Path(path)
-    manifest_path = root if root.is_file() else root / MANIFEST_FILENAME
-    events_path = manifest_path.parent / EVENTS_FILENAME
-    if not manifest_path.exists():
-        print(f"error: no {MANIFEST_FILENAME} under {root} — was the run started with --telemetry?")
+    try:
+        _, manifest, events = read_artifact(path)
+    except FileNotFoundError as exc:
+        print(f"error: {exc}")
         return 1
-    manifest = json.loads(manifest_path.read_text())
-    events: list[dict] = []
-    if events_path.exists():
-        with open(events_path) as fh:
-            events = [json.loads(line) for line in fh if line.strip()]
 
     cmd = manifest.get("command")
     fingerprint = manifest.get("config_fingerprint")
@@ -733,7 +725,7 @@ def _cmd_telemetry_summarize(path: str, top: int = 10) -> int:
     if host:
         print(f"  host     {host.get('hostname')} ({host.get('platform')}, "
               f"{host.get('cpu_count')} cores)")
-    print(f"  events   {len(events)} in {events_path.name}")
+    print(f"  events   {len(events)} in {EVENTS_FILENAME}")
     dropped = int((manifest.get("events") or {}).get("dropped", 0) or 0)
     if dropped:
         print(f"  WARNING  {dropped} event(s) failed serialization and were "
@@ -846,26 +838,19 @@ def _telemetry_compare(paths: list[str]) -> int:
     comparable within one group, and the table says which runs share
     one.
     """
-    import json
     import pathlib
 
     from repro.analysis.tables import ascii_table
-    from repro.obs import EVENTS_FILENAME, MANIFEST_FILENAME
+    from repro.obs import MANIFEST_FILENAME, read_artifact
 
     loaded = []
     for path in paths:
-        root = pathlib.Path(path)
-        manifest_path = root if root.is_file() else root / MANIFEST_FILENAME
-        if not manifest_path.exists():
-            print(f"error: no {MANIFEST_FILENAME} under {root}")
+        try:
+            run_dir, manifest, events = read_artifact(path)
+        except FileNotFoundError:
+            print(f"error: no {MANIFEST_FILENAME} under {pathlib.Path(path)}")
             return 1
-        manifest = json.loads(manifest_path.read_text())
-        events_path = manifest_path.parent / EVENTS_FILENAME
-        events: list[dict] = []
-        if events_path.exists():
-            with open(events_path) as fh:
-                events = [json.loads(line) for line in fh if line.strip()]
-        loaded.append((manifest_path.parent.name or str(manifest_path.parent), manifest, events))
+        loaded.append((run_dir.name or str(run_dir), manifest, events))
 
     fingerprints = [(m.get("config_fingerprint") or "")[:10] or "?" for _, m, _ in loaded]
     groups: dict[str, list[int]] = {}

@@ -68,11 +68,6 @@ class ClusterModel:
         """Current per-tier server counts."""
         return np.array([t.servers for t in self.tiers], dtype=int)
 
-    @property
-    def speed_bounds(self) -> list[tuple[float, float]]:
-        """Per-tier DVFS (min, max) speed bounds."""
-        return [(t.spec.min_speed, t.spec.max_speed) for t in self.tiers]
-
     def total_cost(self) -> float:
         """Provider cost of the whole configuration (P3 objective)."""
         return float(sum(t.cost() for t in self.tiers))

@@ -189,10 +189,6 @@ class BatchEvaluator:
             _TierKernel(tier, station_rates[:, i]) for i, tier in enumerate(cluster.tiers)
         ]
         self.default_servers = cluster.server_counts
-        disciplines = {k.discipline for k in self.kernels}
-        unsupported = disciplines - {"fcfs", "priority_np", "priority_pr", "ps", "loss"}
-        if unsupported:  # pragma: no cover - DISCIPLINES is the same set
-            raise ModelValidationError(f"unsupported disciplines {unsupported}")
 
     # ------------------------------------------------------------------
     def _canon_inputs(self, speeds, servers):

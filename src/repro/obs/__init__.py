@@ -39,7 +39,14 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.obs.manifest import build_manifest, config_fingerprint, write_manifest
+from repro.obs.manifest import (
+    EVENTS_FILENAME,
+    MANIFEST_FILENAME,
+    build_manifest,
+    config_fingerprint,
+    read_artifact,
+    write_manifest,
+)
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.progress import (
     PROGRESS_FILENAME,
@@ -68,6 +75,7 @@ __all__ = [
     "is_enabled",
     "build_manifest",
     "config_fingerprint",
+    "read_artifact",
     "write_manifest",
     "MetricsRegistry",
     "Tracer",
@@ -84,8 +92,6 @@ __all__ = [
     "render_dashboard",
 ]
 
-EVENTS_FILENAME = "events.jsonl"
-MANIFEST_FILENAME = "manifest.json"
 STORE_FILENAME = "runs.sqlite"
 
 

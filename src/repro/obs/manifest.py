@@ -26,9 +26,19 @@ from typing import Any
 from repro._version import __version__
 from repro.obs.trace import json_safe
 
-__all__ = ["MANIFEST_VERSION", "build_manifest", "config_fingerprint", "write_manifest"]
+__all__ = [
+    "EVENTS_FILENAME",
+    "MANIFEST_FILENAME",
+    "MANIFEST_VERSION",
+    "build_manifest",
+    "config_fingerprint",
+    "read_artifact",
+    "write_manifest",
+]
 
 MANIFEST_VERSION = 1
+EVENTS_FILENAME = "events.jsonl"
+MANIFEST_FILENAME = "manifest.json"
 
 
 def config_fingerprint(config: Any) -> str | None:
@@ -121,3 +131,29 @@ def write_manifest(path: str | Path, manifest: dict[str, Any]) -> Path:
         fh.write("\n")
     os.replace(tmp, path)
     return path
+
+
+def read_artifact(path: str | Path) -> tuple[Path, dict[str, Any], list[dict[str, Any]]]:
+    """Read one telemetry artifact: ``(run directory, manifest, events)``.
+
+    ``path`` is the run directory or its ``manifest.json``. The event
+    log is optional (a crashed run may only have the manifest).
+
+    Raises
+    ------
+    FileNotFoundError
+        If there is no manifest at ``path``.
+    """
+    root = Path(path)
+    manifest_path = root if root.is_file() else root / MANIFEST_FILENAME
+    if not manifest_path.exists():
+        raise FileNotFoundError(
+            f"no {MANIFEST_FILENAME} under {root} — was the run started with --telemetry?"
+        )
+    manifest = json.loads(manifest_path.read_text())
+    events: list[dict[str, Any]] = []
+    events_path = manifest_path.parent / EVENTS_FILENAME
+    if events_path.exists():
+        with open(events_path) as fh:
+            events = [json.loads(line) for line in fh if line.strip()]
+    return manifest_path.parent, manifest, events

@@ -40,6 +40,8 @@ import time
 from pathlib import Path
 from typing import Any
 
+from repro.obs.manifest import read_artifact
+
 __all__ = ["RunStore", "STORE_SCHEMA_VERSION"]
 
 STORE_SCHEMA_VERSION = 1
@@ -236,18 +238,7 @@ class RunStore:
         crashed run may only have the manifest). Re-ingesting the same
         directory replaces the previous rows.
         """
-        root = Path(run_dir).resolve()
-        manifest_path = root / "manifest.json"
-        if not manifest_path.exists():
-            raise FileNotFoundError(
-                f"no manifest.json under {root} — was the run started with --telemetry?"
-            )
-        manifest = json.loads(manifest_path.read_text())
-        events: list[dict[str, Any]] = []
-        events_path = root / "events.jsonl"
-        if events_path.exists():
-            with open(events_path) as fh:
-                events = [json.loads(line) for line in fh if line.strip()]
+        root, manifest, events = read_artifact(Path(run_dir).resolve())
 
         host = manifest.get("host") or {}
         events_info = manifest.get("events") or {}

@@ -28,8 +28,12 @@ from repro.simulation.rng import AntitheticSeed, BlockCursor, CoupledGenerator, 
 from repro.simulation.stats import Welford, batch_means_ci, confidence_halfwidth
 from repro.simulation.simulator import SimulationResult, simulate
 from repro.simulation.cache import CacheUnsupportedError, SimulationCache, simulation_fingerprint
-from repro.simulation.parallel import ReplicationTiming, WorkerPool, resolve_n_jobs
-from repro.simulation.replications import ReplicatedResult, simulate_replications
+from repro.simulation.parallel import WorkerPool, resolve_n_jobs
+from repro.simulation.replications import (
+    ReplicatedResult,
+    ReplicationTiming,
+    simulate_replications,
+)
 from repro.simulation.vrt import (
     VrEstimate,
     antithetic_estimate,

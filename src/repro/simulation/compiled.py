@@ -33,13 +33,12 @@ Backend selection (``REPRO_SIM_BACKEND`` environment variable):
 ``python`` (default)
     Pure-Python engine, exactly as before.
 ``compiled``
-    Use the C kernel; if it cannot be built/loaded or the run's
-    configuration is unsupported, fall back to pure Python with a
-    single visible :class:`~repro.exceptions.CompiledFallbackWarning`
-    per process and reason.
+    Use the C kernel; if it cannot be built or loaded, fall back to
+    pure Python with a single visible
+    :class:`~repro.exceptions.CompiledFallbackWarning` per process and
+    reason.
 ``auto``
-    Use the C kernel when available and applicable, silently fall
-    back otherwise.
+    Use the C kernel when available, silently fall back otherwise.
 
 The support envelope is closed: processor-sharing tiers run natively
 (the kernel mirrors :mod:`repro.simulation.ps_station`'s share law),
@@ -55,9 +54,9 @@ boundaries in the engine's exact event order.  Distribution families
 without a native C mapping (e.g. Pareto, whose ``np.power`` SIMD path
 is not bit-identical to libm ``pow``) are drawn through a per-event
 Python callback instead — slower, still bit-identical — so *any*
-accepted configuration produces exact results.  Only tiers with a
-discipline the kernel does not know fall back to the interpreter
-engine.
+accepted configuration produces exact results.  The kernel models
+every tier discipline the model accepts; only a failed build falls
+back to the interpreter engine.
 """
 
 from __future__ import annotations
@@ -404,28 +403,6 @@ def kernel_status() -> dict[str, Any]:
     }
 
 
-# ---------------------------------------------------------------------------
-# configuration support envelope
-# ---------------------------------------------------------------------------
-
-
-def _unsupported_reason(cluster) -> str | None:
-    """Why this cluster cannot run on the C kernel (``None`` =
-    supported).
-
-    Epoch controllers, antithetic seeds, PS tiers and telemetry queue
-    sampling are all inside the envelope; the one exclusion is a tier
-    discipline the kernel has no state machine for.
-    """
-    for tier in cluster.tiers:
-        if tier.discipline not in _DISCIPLINES:
-            return (
-                f"tier discipline {tier.discipline!r} is not modeled by the "
-                "compiled kernel"
-            )
-    return None
-
-
 def _annotate_backend(resolved: str, requested: str, fallback: str | None = None) -> None:
     """Record the resolved simulation backend (and any fallback reason)
     in the telemetry run context, so the manifest / run store / dashboard
@@ -595,18 +572,6 @@ def _take(lib, ptr, n, ctype) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_for(cluster):
-    """``(library, None)`` when the kernel can run ``cluster``, else
-    ``(None, reason)``."""
-    reason = _unsupported_reason(cluster)
-    if reason is None:
-        try:
-            return load_kernel(), None
-        except KernelBuildError as exc:
-            reason = str(exc)
-    return None, reason
-
-
 def maybe_simulate_compiled(
     backend: str,
     cluster,
@@ -627,11 +592,12 @@ def maybe_simulate_compiled(
     ``"auto"`` (validated by the caller); only ``"compiled"`` warns on
     fallback.
     """
-    lib, reason = _kernel_for(cluster)
-    if lib is None:
+    try:
+        lib = load_kernel()
+    except KernelBuildError as exc:
         if backend == "compiled":
-            _warn_fallback(reason)
-        _annotate_backend("python", backend, fallback=reason)
+            _warn_fallback(str(exc))
+        _annotate_backend("python", backend, fallback=str(exc))
         return None
     _annotate_backend("compiled", backend)
     from repro.simulation.simulator import _unit_result
@@ -675,9 +641,9 @@ def maybe_simulate_fleet_batch(
     seeds: list,
 ):
     """Run a chunk of replications of one scenario in one kernel call,
-    or return ``None`` (kernel unavailable or an unknown discipline) so
-    the fleet runner falls back to unit-at-a-time dispatch, which picks
-    the engine and emits the usual fallback warnings itself.
+    or return ``None`` (kernel unavailable) so the fleet runner falls
+    back to unit-at-a-time dispatch, which picks the engine and emits
+    the usual fallback warnings itself.
 
     Returns ``(fields, failures)``: ``fields`` is the shared finalize's
     per-replication metrics for the replications that succeeded, with
@@ -687,8 +653,9 @@ def maybe_simulate_fleet_batch(
     (validation, instability) raises, with the message ``simulate()``
     would raise per unit.
     """
-    lib, _reason = _kernel_for(cluster)
-    if lib is None:
+    try:
+        lib = load_kernel()
+    except KernelBuildError:
         return None
     _annotate_backend("compiled", backend)
     from repro.simulation.simulator import (

@@ -180,7 +180,7 @@ def _run_chunk(
 
     Tries the batched compiled path first (one kernel call for the
     whole chunk); falls back to unit-at-a-time :func:`simulate` for the
-    python backend, an unknown discipline or a missing toolchain.
+    python backend or a missing toolchain.
     Either way the rows are bit-identical.
 
     Returns ``(ok_units, columns, failures)``: the absolute unit ids

@@ -28,52 +28,14 @@ import numbers
 import os
 import pickle
 import sys
-from dataclasses import dataclass
 from multiprocessing.connection import wait
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.exceptions import ModelValidationError, WorkerLostError
 
-__all__ = [
-    "ReplicationTiming",
-    "WorkerPool",
-    "resolve_n_jobs",
-    "payload_is_picklable",
-]
+__all__ = ["WorkerPool", "resolve_n_jobs", "payload_is_picklable"]
 
 _BACKEND_ENV = "REPRO_SIM_BACKEND"
-
-
-@dataclass
-class ReplicationTiming:
-    """Observability record for one replication.
-
-    ``events_per_sec`` is the simulator's event-loop throughput
-    (``meta["n_events"] / wall_time_s``); ``cached`` marks results that
-    were loaded from the on-disk cache instead of being simulated.
-    """
-
-    index: int
-    wall_time_s: float
-    n_events: int
-    cached: bool = False
-
-    @property
-    def events_per_sec(self) -> float:
-        """Event-loop throughput of this replication (0 when cached)."""
-        if self.wall_time_s <= 0.0 or self.cached:
-            return 0.0
-        return self.n_events / self.wall_time_s
-
-    def as_dict(self) -> dict[str, Any]:
-        """Plain-dict view for ``ReplicatedResult.meta``."""
-        return {
-            "index": self.index,
-            "wall_time_s": self.wall_time_s,
-            "n_events": self.n_events,
-            "events_per_sec": self.events_per_sec,
-            "cached": self.cached,
-        }
 
 
 def _warm_worker(backend: str | None = None, warned: tuple[str, ...] = ()) -> None:

@@ -38,38 +38,46 @@ from repro.simulation.cache import (
     SimulationCache,
     simulation_fingerprint,
 )
-from repro.simulation.parallel import (
-    ReplicationTiming,
-    WorkerPool,
-    payload_is_picklable,
-    resolve_n_jobs,
-)
+from repro.simulation.parallel import WorkerPool, payload_is_picklable, resolve_n_jobs
 from repro.simulation.rng import RngStreams
 from repro.simulation.simulator import SimulationResult, simulate
 from repro.simulation.stats import confidence_halfwidth, confidence_halfwidths
 from repro.workload.arrivals import ArrivalProcess
 from repro.workload.classes import Workload
 
-__all__ = [
-    "ReplicatedResult",
-    "simulate_replications",
-    # re-exported lazily from the adaptive layer (module __getattr__)
-    "simulate_replications_adaptive",
-    "compare_scenarios",
-]
-
-_ADAPTIVE_NAMES = ("simulate_replications_adaptive", "compare_scenarios")
+__all__ = ["ReplicatedResult", "ReplicationTiming", "simulate_replications"]
 
 
-def __getattr__(name: str):
-    # Lazy re-export: the adaptive engine imports this module's runner
-    # machinery, so a top-level import here would be circular. PEP 562
-    # resolution is import-order safe and costs nothing until used.
-    if name in _ADAPTIVE_NAMES:
-        from repro.simulation import adaptive
+@dataclass
+class ReplicationTiming:
+    """Observability record for one replication.
 
-        return getattr(adaptive, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    ``events_per_sec`` is the simulator's event-loop throughput
+    (``meta["n_events"] / wall_time_s``); ``cached`` marks results that
+    were loaded from the on-disk cache instead of being simulated.
+    """
+
+    index: int
+    wall_time_s: float
+    n_events: int
+    cached: bool = False
+
+    @property
+    def events_per_sec(self) -> float:
+        """Event-loop throughput of this replication (0 when cached)."""
+        if self.wall_time_s <= 0.0 or self.cached:
+            return 0.0
+        return self.n_events / self.wall_time_s
+
+    def as_dict(self) -> dict[str, Any]:
+        """Plain-dict view for ``ReplicatedResult.meta``."""
+        return {
+            "index": self.index,
+            "wall_time_s": self.wall_time_s,
+            "n_events": self.n_events,
+            "events_per_sec": self.events_per_sec,
+            "cached": self.cached,
+        }
 
 
 @dataclass
@@ -249,30 +257,27 @@ def simulate_replications(
         n_jobs=n_jobs,
         cache=cache_dir is not None,
     ):
-        return _simulate_replications(
-            cluster,
-            workload,
-            horizon,
-            n_replications,
-            warmup_fraction,
-            seed,
-            arrival_processes,
-            collect_delay_samples,
+        if n_replications < 1:
+            raise ModelValidationError(f"need at least one replication, got {n_replications}")
+        t_start = time.perf_counter()
+        with _ReplicationRunner(
+            RngStreams.replication_seeds(seed, n_replications),
+            cache=cache_dir,
+            n_jobs=n_jobs,
+            progress=progress,
+            cluster=cluster,
+            workload=workload,
+            horizon=horizon,
+            warmup_fraction=warmup_fraction,
+            arrival_processes=arrival_processes,
+            collect_delay_samples=collect_delay_samples,
             routing=routing,
             allow_unstable=allow_unstable,
             collect_job_log=collect_job_log,
-            n_jobs=n_jobs,
-            cache_dir=cache_dir,
-            progress=progress,
-        )
-
-
-def _resolve_cache(cache_dir: str | SimulationCache | None) -> SimulationCache | None:
-    if cache_dir is None:
-        return None
-    if isinstance(cache_dir, SimulationCache):
-        return cache_dir
-    return SimulationCache(cache_dir)
+        ) as runner:
+            runner.ensure(range(n_replications))
+        meta = runner.meta(time.perf_counter() - t_start)
+        return _aggregate(runner.runs(n_replications), n_replications, meta)
 
 
 def _run_one(sim_kwargs: dict[str, Any]) -> tuple[SimulationResult, float]:
@@ -286,7 +291,8 @@ class _ReplicationRunner:
     """Cache-aware incremental dispatcher for one replication family.
 
     Owns the seed list, the on-disk cache pass, payload construction
-    and pool dispatch for a fixed configuration. The fixed-count engine
+    and pool dispatch for one configuration (``sim_kwargs``: every
+    :func:`simulate` argument except ``seed``). The fixed-count engine
     asks for every index at once; the adaptive engine
     (:mod:`repro.simulation.adaptive`) calls :meth:`ensure` round by
     round against one live :class:`WorkerPool` (use the runner as a
@@ -299,14 +305,16 @@ class _ReplicationRunner:
 
     def __init__(
         self,
-        sim_kwargs_common: dict[str, Any],
         seeds: list,
         *,
-        cache: SimulationCache | None = None,
+        cache: str | SimulationCache | None = None,
         n_jobs: int | None = None,
         progress: Callable[[ReplicationTiming, int, int], None] | None = None,
+        **sim_kwargs: Any,
     ):
-        self.sim_kwargs = sim_kwargs_common
+        if cache is not None and not isinstance(cache, SimulationCache):
+            cache = SimulationCache(cache)
+        self.sim_kwargs = sim_kwargs
         self.seeds = seeds
         self.cache = cache
         self.progress = progress
@@ -348,20 +356,8 @@ class _ReplicationRunner:
             return None
         fp = self._fingerprints.get(index)
         if fp is None:
-            kw = self.sim_kwargs
             try:
-                fp = simulation_fingerprint(
-                    kw["cluster"],
-                    kw["workload"],
-                    kw["horizon"],
-                    kw["warmup_fraction"],
-                    self.seeds[index],
-                    arrival_processes=kw["arrival_processes"],
-                    routing=kw["routing"],
-                    allow_unstable=kw["allow_unstable"],
-                    collect_delay_samples=kw["collect_delay_samples"],
-                    collect_job_log=kw["collect_job_log"],
-                )
+                fp = simulation_fingerprint(seed=self.seeds[index], **self.sim_kwargs)
             except CacheUnsupportedError:
                 # Fingerprints differ per index only in the seed child,
                 # so one failure means every index fails.
@@ -454,69 +450,3 @@ class _ReplicationRunner:
             **extra,
         }
 
-
-def _sim_kwargs_common(
-    cluster: ClusterModel,
-    workload: Workload,
-    horizon: float,
-    warmup_fraction: float,
-    arrival_processes: list[ArrivalProcess] | None,
-    collect_delay_samples: bool,
-    routing: list | None,
-    allow_unstable: bool,
-    collect_job_log: bool,
-) -> dict[str, Any]:
-    return dict(
-        cluster=cluster,
-        workload=workload,
-        horizon=horizon,
-        warmup_fraction=warmup_fraction,
-        arrival_processes=arrival_processes,
-        collect_delay_samples=collect_delay_samples,
-        routing=routing,
-        allow_unstable=allow_unstable,
-        collect_job_log=collect_job_log,
-    )
-
-
-def _simulate_replications(
-    cluster: ClusterModel,
-    workload: Workload,
-    horizon: float,
-    n_replications: int = 5,
-    warmup_fraction: float = 0.1,
-    seed: int = 0,
-    arrival_processes: list[ArrivalProcess] | None = None,
-    collect_delay_samples: bool = False,
-    *,
-    routing: list | None = None,
-    allow_unstable: bool = False,
-    collect_job_log: bool = False,
-    n_jobs: int | None = None,
-    cache_dir: str | SimulationCache | None = None,
-    progress: Callable[[ReplicationTiming, int, int], None] | None = None,
-) -> ReplicatedResult:
-    if n_replications < 1:
-        raise ModelValidationError(f"need at least one replication, got {n_replications}")
-    t_start = time.perf_counter()
-    runner = _ReplicationRunner(
-        _sim_kwargs_common(
-            cluster,
-            workload,
-            horizon,
-            warmup_fraction,
-            arrival_processes,
-            collect_delay_samples,
-            routing,
-            allow_unstable,
-            collect_job_log,
-        ),
-        RngStreams.replication_seeds(seed, n_replications),
-        cache=_resolve_cache(cache_dir),
-        n_jobs=n_jobs,
-        progress=progress,
-    )
-    with runner:
-        runner.ensure(range(n_replications))
-    meta = runner.meta(time.perf_counter() - t_start)
-    return _aggregate(runner.runs(n_replications), n_replications, meta)

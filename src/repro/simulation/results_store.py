@@ -160,10 +160,6 @@ class FleetStore:
         if self._buffered_rows >= self._rows_per_group:
             self.flush()
 
-    def append_rows(self, rows: Iterable[Mapping[str, Any]]) -> None:
-        for row in rows:
-            self.append(row)
-
     def append_columns(self, arrays: Mapping[str, np.ndarray]) -> None:
         """Buffer a block of rows already in columnar form.
 

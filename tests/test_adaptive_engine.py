@@ -258,7 +258,49 @@ class TestCacheInterplay:
         assert np.array_equal(warm.delays, cold.delays)
 
 
+    def test_unfingerprintable_config_bypasses_cache(
+        self, tmp_path, two_class_cluster, two_class_workload
+    ):
+        from repro.workload.arrivals import NonHomogeneousPoisson
+
+        rep = simulate_replications_adaptive(
+            two_class_cluster,
+            two_class_workload,
+            horizon=100.0,
+            target=PrecisionTarget(min_replications=2, max_replications=2, estimator="naive"),
+            arrival_processes=[
+                NonHomogeneousPoisson(lambda t: 1.0, rate_max=1.1),
+                NonHomogeneousPoisson(lambda t: 1.0, rate_max=1.1),
+            ],
+            cache_dir=str(tmp_path),
+            allow_unstable=True,
+        )
+        assert rep.meta["cache"].startswith("unsupported")
+        assert rep.meta["cache_hits"] == 0
+        assert rep.meta["cache_misses"] == 0
+        assert len(list(tmp_path.glob("*/*.pkl"))) == 0
+
+
 class TestAdaptiveTelemetry:
+    def test_span_carries_engine_tags(
+        self, telemetry, tmp_path, two_class_cluster, two_class_workload
+    ):
+        _adaptive(
+            two_class_cluster,
+            two_class_workload,
+            MULTI_ROUND,
+            n_jobs=1,
+            cache_dir=str(tmp_path / "cache"),
+        )
+        (span,) = [s for s in telemetry.tracer.roots if s.name == "sim.replications.adaptive"]
+        assert span.tags == {
+            "horizon": 300.0,
+            "estimator": "naive",
+            "max_replications": 24,
+            "n_jobs": 1,
+            "cache": True,
+        }
+
     def test_round_events_and_counters(
         self, telemetry, two_class_cluster, two_class_workload
     ):

@@ -86,7 +86,7 @@ def _replication_numbers(backend_env, n_jobs, with_controller, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CompiledFallbackWarning)
         seeds = RngStreams.replication_seeds(42, 3)
-        with _ReplicationRunner(sim_kwargs, seeds, n_jobs=n_jobs) as runner:
+        with _ReplicationRunner(seeds, n_jobs=n_jobs, **sim_kwargs) as runner:
             runner.ensure(range(3))
     assert runner.meta(0.0)["n_jobs"] == n_jobs
     return {i: golden_mod._snapshot(res) for i, res in enumerate(runner.runs(3))}
@@ -330,69 +330,6 @@ def test_queue_sampling_telemetry_identical(monkeypatch, tmp_path):
     assert len(ref_rows) > 0
     assert ref_rows == got_rows
     assert np.array_equal(ref.delays, got.delays)
-
-
-# ---------------------------------------------------------------------------
-# the _unsupported_reason decision matrix
-# ---------------------------------------------------------------------------
-
-
-# Epoch controllers and antithetic seeds are no longer inputs of the
-# decision; their compiled runs are covered by the parity tests above,
-# which turn any fallback warning into an error.
-
-
-def test_unsupported_reason_none_for_ps_tiers():
-    from repro.experiments.common import canonical_cluster
-
-    assert compiled_mod._unsupported_reason(canonical_cluster(discipline="ps")) is None
-
-
-def test_unsupported_reason_none_for_queue_sampling(monkeypatch, tmp_path):
-    """Queue sampling is a telemetry mode, not a config knob — the
-    decision must stay None while it is active."""
-    from repro.experiments.common import canonical_cluster
-    from repro.obs import telemetry_session
-
-    with telemetry_session(tmp_path, sample_queues=True):
-        assert compiled_mod._unsupported_reason(canonical_cluster()) is None
-
-
-def test_unsupported_reason_exact_string_for_unknown_discipline():
-    """A discipline outside the kernel's dispatch table is the one
-    remaining fallback class, with a stable reason string."""
-    from types import SimpleNamespace
-
-    tier = SimpleNamespace(discipline="edf")
-    cluster = SimpleNamespace(tiers=[tier])
-    assert (
-        compiled_mod._unsupported_reason(cluster)
-        == "tier discipline 'edf' is not modeled by the compiled kernel"
-    )
-
-
-def test_unsupported_reason_fallback_matches_and_auto_silent(monkeypatch):
-    """A forced out-of-envelope config degrades to the Python engine
-    bit-identically; ``compiled`` warns once, ``auto`` stays silent."""
-    from repro.experiments.common import canonical_cluster, canonical_workload
-
-    monkeypatch.setattr(
-        compiled_mod,
-        "_unsupported_reason",
-        lambda cluster: "synthetic out-of-envelope reason",
-    )
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
-    ref = simulate(canonical_cluster(), canonical_workload(), horizon=30.0, seed=4)
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "compiled")
-    with pytest.warns(CompiledFallbackWarning, match="synthetic out-of-envelope"):
-        got = simulate(canonical_cluster(), canonical_workload(), horizon=30.0, seed=4)
-    assert np.array_equal(ref.delays, got.delays)
-    assert ref.average_power == got.average_power
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "auto")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", CompiledFallbackWarning)
-        silent = simulate(canonical_cluster(), canonical_workload(), horizon=30.0, seed=4)
-    assert np.array_equal(ref.delays, silent.delays)
 
 
 # ---------------------------------------------------------------------------

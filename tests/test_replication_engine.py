@@ -64,6 +64,12 @@ def _deterministic_arrivals():
 # Bugfix 1: simulate_replications forwards all simulate() options.
 # ----------------------------------------------------------------------
 class TestOptionForwarding:
+    def test_zero_replications_rejected(self, two_class_cluster, two_class_workload):
+        with pytest.raises(ModelValidationError, match="at least one replication"):
+            simulate_replications(
+                two_class_cluster, two_class_workload, horizon=100.0, n_replications=0
+            )
+
     def test_collect_job_log_reaches_every_replication(self, two_class_cluster, two_class_workload):
         rep = simulate_replications(
             two_class_cluster,
