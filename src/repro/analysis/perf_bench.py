@@ -78,6 +78,11 @@ DEFAULT_HISTORY = "benchmarks/results/BENCH_history.jsonl"
 #: is less than 5x faster than the pure-Python engine — a silent
 #: fallback for any of these classes re-opens the envelope and must
 #: fail the bench outright, not drift past as a slowdown.
+#: ``stream_seed_100k`` gates the seeding layer on its own: the C
+#: kernel seeds 100k PCG64 streams from fleet-shaped keys in one probe
+#: call (its setup *raises* when a stream's state differs from
+#: NumPy's), so a seeding regression is named by this kernel instead
+#: of hiding inside the fleet sweeps.
 DEFAULT_GATES = (
     "sim_replication_h500",
     "sim_replication_h500_compiled",
@@ -88,6 +93,7 @@ DEFAULT_GATES = (
     "a7_epoch_compiled",
     "adaptive_antithetic_compiled",
     "sim_ps_h500_compiled",
+    "stream_seed_100k",
 )
 
 #: Name of the machine-speed calibration kernel.
@@ -470,6 +476,45 @@ def _kernel_fleet_sweep_batched() -> Callable[[], object]:
     return run
 
 
+def _kernel_stream_seed_100k() -> Callable[[], object]:
+    """Seed 100k simulation streams in C, as fleet units seed theirs.
+
+    Fleet-shaped keys ``(7, (scenario, replication))`` paired with the
+    ``small_cluster`` stream names, all passed to one
+    ``k_seed_streams`` probe call (the same seeder ``run_kernel`` uses
+    per slot, plus eight draws per stream); the key words are
+    assembled in setup, so the timing is the C seeding alone. Setup
+    checks sampled streams against ``PCG64(SeedSequence(...))`` and
+    raises on a mismatch. Hosts without a C toolchain skip.
+    """
+    from repro.simulation import compiled
+    from repro.simulation.rng import fnv1a64
+
+    if not compiled.kernel_available():
+        raise BenchSkip(f"compiled kernel unavailable: {compiled.kernel_status()['error']}")
+    lib = compiled.load_kernel()
+    names = ["arrivals/0", "arrivals/1", "service/0/0", "service/0/1", "service/1/0", "service/1/1"]
+    n = 100_000
+    keys = [(7, (u // 6 // 250, u // 6 % 250)) for u in range(n)]
+    hashes = np.array([fnv1a64(names[u % 6]) for u in range(n)], dtype=np.uint64)
+    words, offsets = compiled._key_arrays(keys)
+    out = np.zeros((n, 12), dtype=np.uint64)
+
+    def run() -> None:
+        lib.k_seed_streams(
+            n, words.ctypes.data, offsets.ctypes.data, hashes.ctypes.data, out.ctypes.data
+        )
+
+    run()
+    for u in (0, 1, n // 2, n - 1):
+        entropy, spawn_key = keys[u]
+        seq = np.random.SeedSequence(entropy, spawn_key=spawn_key + (int(hashes[u]),))
+        state = np.random.PCG64(seq).state["state"]["state"]
+        if [int(w) for w in out[u, :2]] != [state >> 64, state & ((1 << 64) - 1)]:
+            raise RuntimeError(f"stream_seed_100k: stream {u} is not NumPy's PCG64 state")
+    return run
+
+
 def _kernel_analytic_eval_x100() -> Callable[[], object]:
     from repro.core.delay import end_to_end_delays
     from repro.core.energy import average_power
@@ -744,6 +789,7 @@ KERNELS: dict[str, Callable[[], Callable[[], object]]] = {
     "sim_ps_h500_compiled": _kernel_sim_ps_h500_compiled,
     "fleet_sweep_1k": _kernel_fleet_sweep_1k,
     "fleet_sweep_batched": _kernel_fleet_sweep_batched,
+    "stream_seed_100k": _kernel_stream_seed_100k,
     "analytic_eval_x100": _kernel_analytic_eval_x100,
     "batch_eval_100": _kernel_batch_eval_100,
     "percentile_batch_x50": _kernel_percentile_batch_x50,

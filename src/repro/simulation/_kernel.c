@@ -6,8 +6,9 @@
  * repro/simulation/simulator.py -- the (time, seq) event heap, the
  * array-backed SimStation state machine, the processor-sharing station
  * and the per-event statistics tallies -- in C, while drawing every
- * random variate through NumPy's own C distribution functions on the
- * *same* per-stream bit generators the pure-Python engine uses.
+ * random variate through NumPy's own C distribution functions on
+ * per-stream PCG64 generators that the kernel seeds itself, in its own
+ * arena, to the identical state RngStreams gives the same stream.
  *
  * Bit-identity contract: for any configuration this kernel accepts,
  * the produced metrics are bit-identical to the pure-Python engine
@@ -20,12 +21,19 @@
  *    sums, completion times, PS share decrements, DVFS remaining-work
  *    rescales) mirrors the Python expression shape and evaluation
  *    order exactly (IEEE doubles are deterministic);
+ *  - every native stream is seeded in C to the identical PCG64 state:
+ *    the SeedSequence entropy pool (pool size 4, hashmix/mix,
+ *    generate_state) and pcg64_set_seed are ported word for word, and
+ *    the stream's key is the replication's entropy and spawn-key words
+ *    followed by the words of fnv1a64(stream name), as in
+ *    RngStreams.stream (tests/test_kernel_seeding.py);
  *  - service and arrival variates are drawn by the exact NumPy C
  *    functions (random_exponential, random_gamma, ziggurat
- *    standard-exponential, ...) on the stream's own bitgen_t, which
- *    consume the bit stream exactly as the Generator methods do; the
- *    block-sampling contract (tests/test_block_rng.py) makes one
- *    scalar draw per event equal to the Python engine's
+ *    standard-exponential, ...) on the stream's bitgen_t, whose
+ *    next_uint64 / buffered next_uint32 / next_double follow NumPy's
+ *    pcg64.h, so they consume the bit stream exactly as the Generator
+ *    methods do; the block-sampling contract (tests/test_block_rng.py)
+ *    makes one scalar draw per event equal to the Python engine's
  *    block-pregenerated draws;
  *  - streams the kernel cannot drive natively (antithetic coupled
  *    generators, whose inverse transforms go through np.log and are
@@ -106,7 +114,6 @@ typedef struct {
     int py_id;         /* callback id (PYCALL) or block id (PYBLOCK) */
     double p1;
     double p2;
-    void *bg;          /* bitgen_t*, NULL for DET / PYCALL / PYBLOCK */
     double *cdf;       /* hyperexponential branch CDF */
     double *scales;    /* hyperexponential branch scales */
     int *post_op;      /* POST_MUL / POST_ADD, innermost last */
@@ -123,12 +130,151 @@ typedef struct {
     int kind;          /* SK_PYCALL, SK_EXPO, SK_PYBLOCK or SK_TRACE */
     int py_id;         /* callback slot (PYCALL) or block id (PYBLOCK) */
     double scale;
-    void *bg;
     const double *ts;  /* SK_TRACE: sorted arrival timestamps */
     long long n_ts;
     long long cursor;  /* SK_TRACE replay state (starts at 0) */
     double clock;      /* SK_TRACE replay state (starts at 0.0) */
 } ArrivalDesc;
+
+/* -------------------------- stream seeding --------------------------- */
+
+/* NumPy's SeedSequence (pool size 4) and PCG64 (XSL-RR 128/64), ported
+ * from numpy/random/bit_generator.pyx and pcg64.{h,c}.  Both are
+ * documented, stream-stable algorithms: a stream seeded here starts in
+ * exactly the state of PCG64(SeedSequence(entropy, spawn_key)), and its
+ * bitgen_t hands out the same uint64 / buffered uint32 / double
+ * sequence. */
+
+#ifndef __SIZEOF_INT128__
+#error "the stream seeder needs a compiler with 128-bit integers"
+#endif
+typedef unsigned __int128 u128;
+
+typedef struct {
+    u128 state;
+    u128 inc;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg64_t;
+
+#define PCG_MULT (((u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
+#define SS_INIT_A 0x43b0d7e5u
+#define SS_MULT_A 0x931e8875u
+#define SS_INIT_B 0x8b51f9ddu
+#define SS_MULT_B 0x58f38dedu
+#define SS_MIX_L 0xca01f9ddu
+#define SS_MIX_R 0x4973f715u
+
+static inline uint64_t pcg_next64(pcg64_t *g) {
+    g->state = g->state * PCG_MULT + g->inc;
+    uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+static uint64_t bg_next64(void *st) { return pcg_next64((pcg64_t *)st); }
+
+static uint32_t bg_next32(void *st) {
+    pcg64_t *g = (pcg64_t *)st;
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return g->uinteger;
+    }
+    uint64_t v = pcg_next64(g);
+    g->has_uint32 = 1;
+    g->uinteger = (uint32_t)(v >> 32);
+    return (uint32_t)v;
+}
+
+static double bg_next_double(void *st) {
+    return (double)(pcg_next64((pcg64_t *)st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+static uint32_t hashmix(uint32_t v, uint32_t *hc) {
+    v ^= *hc;
+    *hc *= SS_MULT_A;
+    v *= *hc;
+    return v ^ (v >> 16);
+}
+
+static uint32_t ss_mix(uint32_t x, uint32_t y) {
+    uint32_t r = SS_MIX_L * x - SS_MIX_R * y;
+    return r ^ (r >> 16);
+}
+
+/* Seed one stream from the assembled entropy key[0..n_key) followed by
+ * the minimal little-endian words of h (one word below 2^32). */
+static void seed_stream(pcg64_t *g, bitgen_t *bg, const uint32_t *key, long long n_key,
+                        uint64_t h) {
+    uint32_t hw[2] = {(uint32_t)h, (uint32_t)(h >> 32)};
+    long long n = n_key + (hw[1] ? 2 : 1);
+#define SS_WORD(i) ((i) < n_key ? key[i] : hw[(i) - n_key])
+    /* mix_entropy: hash the first pool-size words in (zeros past the
+     * end), cross-mix the pool, then fold in each remaining word */
+    uint32_t pool[4];
+    uint32_t hc = SS_INIT_A;
+    for (int i = 0; i < 4; i++) pool[i] = hashmix(i < n ? SS_WORD(i) : 0u, &hc);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst) pool[dst] = ss_mix(pool[dst], hashmix(pool[src], &hc));
+    for (long long src = 4; src < n; src++)
+        for (int dst = 0; dst < 4; dst++) pool[dst] = ss_mix(pool[dst], hashmix(SS_WORD(src), &hc));
+#undef SS_WORD
+    /* generate_state(4, uint64): eight words cycled off the pool, paired
+     * little-endian into (seed hi, seed lo, inc hi, inc lo) */
+    uint64_t w[4] = {0, 0, 0, 0};
+    uint32_t hb = SS_INIT_B;
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = pool[i & 3] ^ hb;
+        hb *= SS_MULT_B;
+        v *= hb;
+        v ^= v >> 16;
+        w[i >> 1] |= (uint64_t)v << (32 * (i & 1));
+    }
+    /* pcg64_set_seed -> pcg_setseq_128_srandom_r */
+    g->state = 0;
+    g->inc = ((((u128)w[2] << 64) | w[3]) << 1) | 1u;
+    g->state = g->state * PCG_MULT + g->inc;
+    g->state += ((u128)w[0] << 64) | w[1];
+    g->state = g->state * PCG_MULT + g->inc;
+    g->has_uint32 = 0;
+    g->uinteger = 0;
+    bg->state = g;
+    bg->next_uint64 = bg_next64;
+    bg->next_uint32 = bg_next32;
+    bg->next_double = bg_next_double;
+    bg->next_raw = bg_next64;
+}
+
+/* Seed-layer probe (tests and the stream_seed_100k bench kernel; not a
+ * simulation entry point): seed n streams, stream i from key words
+ * words[offsets[i]..offsets[i+1]) followed by hashes[i], exactly as
+ * run_kernel seeds a slot, and write 12 words per stream to out: state
+ * hi/lo, inc hi/lo, then the draws u64, u64, u32, u32, u32, double,
+ * u32, double (uint32 zero-extended, doubles as their bit patterns). */
+void k_seed_streams(long long n, const uint32_t *words, const long long *offsets,
+                    const uint64_t *hashes, uint64_t *out) {
+    pcg64_t g;
+    bitgen_t bg;
+    for (long long i = 0; i < n; i++) {
+        uint64_t *o = out + 12 * i;
+        seed_stream(&g, &bg, words + offsets[i], offsets[i + 1] - offsets[i], hashes[i]);
+        o[0] = (uint64_t)(g.state >> 64);
+        o[1] = (uint64_t)g.state;
+        o[2] = (uint64_t)(g.inc >> 64);
+        o[3] = (uint64_t)g.inc;
+        o[4] = bg.next_uint64(&g);
+        o[5] = bg.next_uint64(&g);
+        o[6] = bg.next_uint32(&g);
+        o[7] = bg.next_uint32(&g);
+        o[8] = bg.next_uint32(&g);
+        double d = bg.next_double(&g);
+        memcpy(&o[9], &d, sizeof d);
+        o[10] = bg.next_uint32(&g);
+        d = bg.next_double(&g);
+        memcpy(&o[11], &d, sizeof d);
+    }
+}
 
 /* ------------------------------- deque ------------------------------ */
 
@@ -414,7 +560,6 @@ typedef struct {
     int *route_len;
     double **entry_cum;      /* K x M (routing mode) */
     double **trans_cum;      /* K x (M*M) row-major cumulative rows */
-    void **routing_bg;       /* K bitgen_t* (routing mode) */
     int *routing_block;      /* K block ids (antithetic routing), or NULL */
     service_cb_t service_cb;
     arrival_cb_t arrival_cb;
@@ -440,6 +585,11 @@ typedef struct {
     llbuf_t sample_vals;     /* per row: M populations then M busy */
 
     int *scratch_counts;     /* K ints for PS per-class busy accrual */
+
+    /* native stream arena, one slot per stream: K arrivals, then M*K
+     * services (row-major by station), then K routing streams */
+    pcg64_t *gens;
+    bitgen_t *bgs;
 
     station_t *stations;
     heap_t heap;
@@ -488,9 +638,8 @@ static double block_next(ctx_t *c, int id) {
     return b->buf[b->pos++];
 }
 
-static double draw_sampler(ctx_t *c, const SamplerDesc *sd) {
+static double draw_sampler(ctx_t *c, const SamplerDesc *sd, bitgen_t *bg) {
     double v;
-    bitgen_t *bg = (bitgen_t *)sd->bg;
     switch (sd->kind) {
     case SK_DET:
         v = sd->p1;
@@ -546,7 +695,8 @@ static double draw_sampler(ctx_t *c, const SamplerDesc *sd) {
  * by the current speed happens at pull time -- the same expression
  * simulator._make_dynamic_sampler evaluates. */
 static double draw_service(ctx_t *c, station_t *st, int cls) {
-    double v = draw_sampler(c, &c->samplers[st->index * c->K + cls]);
+    int slot = st->index * c->K + cls;
+    double v = draw_sampler(c, &c->samplers[slot], &c->bgs[c->K + slot]);
     if (c->dynamic) v = v / c->cur_speed[st->index];
     return v;
 }
@@ -557,7 +707,7 @@ static double next_gap(ctx_t *c, int k, long long *batch) {
     *batch = 1;
     switch (ad->kind) {
     case SK_EXPO:
-        return random_exponential((bitgen_t *)ad->bg, ad->scale);
+        return random_exponential(&c->bgs[k], ad->scale);
     case SK_PYBLOCK:
         return block_next(c, ad->py_id);
     case SK_TRACE: {
@@ -1003,6 +1153,8 @@ static void free_ctx(ctx_t *c) {
     free(c->scratch_counts);
     free(c->sample_ts.buf);
     free(c->sample_vals.buf);
+    free(c->gens);
+    free(c->bgs);
     free(c->heap.buf);
     free(c->jobs.pool);
     free(c->jobs.free_list);
@@ -1013,8 +1165,8 @@ void k_free(void *p) { free(p); }
 /* ------------------- allocation / reset / core loop ------------------ */
 
 /* One-time arena allocation: event heap, job pool, scratch, delay
- * buffers, the current-speed vector, Python block buffers and the
- * per-station server arrays / queues / PS pools.  Station geometry
+ * buffers, the native stream slots, the current-speed vector, Python
+ * block buffers and the per-station server arrays / queues / PS pools.  Station geometry
  * comes from the descriptors and never changes across the replications
  * of a call; ctx_reset() rewinds the mutable state between runs
  * without touching any of these allocations.  Returns non-zero on OOM
@@ -1027,7 +1179,11 @@ static int ctx_alloc(ctx_t *c, const StationDesc *station_desc,
 
     c->scratch_counts = (int *)malloc(sizeof(int) * c->K);
     c->delay_buf = (dbuf_t *)calloc(c->K, sizeof(dbuf_t));
-    if (c->scratch_counts == NULL || c->delay_buf == NULL) return 1;
+    size_t n_slots = (size_t)(c->M + 2) * c->K;
+    c->gens = (pcg64_t *)calloc(n_slots, sizeof(pcg64_t));
+    c->bgs = (bitgen_t *)calloc(n_slots, sizeof(bitgen_t));
+    if (c->scratch_counts == NULL || c->delay_buf == NULL || c->gens == NULL || c->bgs == NULL)
+        return 1;
 
     if (c->dynamic) {
         c->cur_speed = (double *)malloc(sizeof(double) * c->M);
@@ -1118,7 +1274,7 @@ static void ctx_reset(ctx_t *c) {
 /* One routing uniform for class k: pre-drawn (antithetic) or native. */
 static double routing_u(ctx_t *c, int k) {
     if (c->routing_block != NULL) return block_next(c, c->routing_block[k]);
-    return random_standard_uniform((bitgen_t *)c->routing_bg[k]);
+    return random_standard_uniform(&c->bgs[(c->M + 1) * c->K + k]);
 }
 
 /* One replication: seed the initial arrivals, run the event loop to
@@ -1291,11 +1447,20 @@ static int run_core(ctx_t *c) {
 
 /* The one entry point: run n_reps independent replications of one
  * scenario back to back on a single arena.  Each replication brings its
- * own sampler/arrival descriptors (its own per-seed bit generators) and
- * writes its own block of every output; the event heap, job pool and
+ * own sampler/arrival descriptors and key words and writes its own
+ * block of every output; the event heap, job pool, stream slots and
  * station arrays are allocated once by ctx_alloc and rewound by
  * ctx_reset between runs, so the Python->C boundary is crossed once per
  * call, not once per replication.
+ *
+ * Streams: replication b's key is key_words[key_off[b]..key_off[b+1])
+ * (its entropy words, zero-padded to four, then its spawn-key words),
+ * and slot s's stream is seeded from that key followed by slot_hash[s]
+ * = fnv1a64(stream name), in the slot order of ctx_t.gens.  Every slot
+ * is re-seeded after ctx_reset, so a resumed call starts each
+ * replication on its own fresh streams.  key_words is NULL when no
+ * stream is drawn natively (antithetic seeds: every draw comes from a
+ * Python-refilled block).
  *
  * Optional inputs are off when NULL: routing tables (fixed itineraries
  * otherwise), Python-refilled blocks, the epoch yield (epoch_cb), queue
@@ -1315,8 +1480,9 @@ int run_kernel(
     ArrivalDesc *arrivals,       /* n_reps blocks of K */
     void **routes_v, int *route_len,
     void **entry_cum_v, void **trans_cum_v,
-    void **routing_bg,           /* n_reps blocks of K */
     int *routing_block,
+    const uint32_t *key_words, const long long *key_off, /* n_reps + 1 offsets */
+    const uint64_t *slot_hash,   /* (M + 2) * K */
     refill_cb_t refill_cb, int n_blocks, long long block_size,
     long long n_epochs, const double *epoch_times,
     double *speeds, long long *counts_out, epoch_cb_t epoch_cb,
@@ -1365,7 +1531,6 @@ int run_kernel(
     for (; b < n_reps; b++) {
         c.samplers = samplers + b * km;
         c.arrivals = arrivals + (size_t)b * K;
-        if (routing_bg != NULL) c.routing_bg = routing_bg + (size_t)b * K;
         c.wait_sum = wait_sum + b * km;
         c.sojourn_sum = sojourn_sum + b * km;
         c.visit_count = visit_count + b * km;
@@ -1379,6 +1544,10 @@ int run_kernel(
         for (int i = 0; i < M; i++)
             c.stations[i].class_busy = class_busy + ((size_t)b * M + i) * K;
         ctx_reset(&c);
+        if (key_words != NULL)
+            for (int s = 0; s < (M + 2) * K; s++)
+                seed_stream(&c.gens[s], &c.bgs[s], key_words + key_off[b],
+                            key_off[b + 1] - key_off[b], slot_hash[s]);
         rc = run_core(&c);
         if (rc != RC_OK) goto done;
         if (c.collect_delays)

@@ -9,20 +9,25 @@ through :mod:`ctypes`.
 
 Why C + ctypes rather than Numba: the container this project targets
 ships only the base scientific stack (no Numba, no Cython) but always
-has a C toolchain, and NumPy exports its C distribution functions plus
-per-``Generator`` ``bitgen_t`` pointers precisely for this kind of
-extension.  The kernel draws every variate through the *same* NumPy C
-functions the ``Generator`` methods call, on the *same* per-stream bit
-generators :class:`~repro.simulation.rng.RngStreams` creates — so the
-bit-stream consumption, and therefore every simulated metric, is
-bit-identical to the pure-Python engine (enforced by
+has a C toolchain, and NumPy exports its C distribution functions
+precisely for this kind of extension.  The kernel draws every variate
+through the *same* NumPy C functions the ``Generator`` methods call,
+on per-stream PCG64 generators it seeds itself, in C, to the identical
+state :class:`~repro.simulation.rng.RngStreams` gives the same stream
+(NumPy's ``SeedSequence`` and PCG64 seeding are ported into
+``_kernel.c``; ``tests/test_kernel_seeding.py`` pins them against
+NumPy) — so the bit-stream consumption, and therefore every simulated
+metric, is bit-identical to the pure-Python engine (enforced by
 ``tests/test_golden_sim_metrics.py`` and
-``tests/test_compiled_backend.py``).
+``tests/test_compiled_backend.py``).  Python hands the kernel each
+replication's key as uint32 words (entropy, then spawn key) and each
+stream slot's ``fnv1a64(name)``; no NumPy bit generator is built for a
+natively drawn stream.
 
 Every compiled simulation runs through one path: a single replication
 is a batch of one.  One descriptor builder (:func:`_simulate_reps`)
 turns a scenario plus a list of seeds into station descriptors, routes
-and sampler templates (once per call) and per-seed streams, and drives
+and sampler templates (once per call) and per-seed key words, and drives
 the one C entry point over all seeds on reused arenas; the accumulators
 come back with a leading replication axis and go through the one
 finalize the Python engine also uses
@@ -63,6 +68,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import os
 import platform
 import shutil
@@ -89,7 +95,7 @@ from repro.distributions.lognormal import LogNormal
 from repro.distributions.uniform_dist import Uniform
 from repro.distributions.weibull import Weibull
 from repro.exceptions import CompiledFallbackWarning, ModelValidationError, SimulationError
-from repro.simulation.rng import AntitheticSeed, RngStreams, fnv1a64
+from repro.simulation.rng import AntitheticSeed, RngStreams, fnv1a64, validate_seed
 from repro.simulation.rng import _TINY as _RNG_TINY
 from repro.workload.arrivals import PoissonProcess
 from repro.workload.traces import TraceArrivalProcess
@@ -270,7 +276,6 @@ class _SamplerDesc(ctypes.Structure):
         ("py_id", c_int),
         ("p1", c_double),
         ("p2", c_double),
-        ("bg", c_void_p),
         ("cdf", POINTER(c_double)),
         ("scales", POINTER(c_double)),
         ("post_op", POINTER(c_int)),
@@ -287,7 +292,6 @@ class _ArrivalDesc(ctypes.Structure):
         ("kind", c_int),
         ("py_id", c_int),
         ("scale", c_double),
-        ("bg", c_void_p),
         ("ts", POINTER(c_double)),  # SK_TRACE: sorted timestamps
         ("n_ts", c_longlong),
         ("cursor", c_longlong),  # SK_TRACE replay state
@@ -343,8 +347,10 @@ def load_kernel() -> ctypes.CDLL:
             c_void_p,  # route_len
             c_void_p,  # entry_cum (routing tables) or NULL
             c_void_p,  # trans_cum
-            c_void_p,  # routing bit generators (n_reps blocks of K)
             c_void_p,  # routing block ids (antithetic) or NULL
+            c_void_p,  # key words (uint32) or NULL
+            c_void_p,  # key offsets (n_reps + 1)
+            c_void_p,  # slot hashes (uint64, (M + 2) * K)
             _REFILL_CB,
             c_int,  # n_blocks
             c_longlong,  # block_size
@@ -371,6 +377,8 @@ def load_kernel() -> ctypes.CDLL:
         lib.run_kernel_batch = lib.run_kernel
         lib.k_free.restype = None
         lib.k_free.argtypes = [c_void_p]
+        lib.k_seed_streams.restype = None
+        lib.k_seed_streams.argtypes = [c_longlong, c_void_p, c_void_p, c_void_p, c_void_p]
     except KernelBuildError as exc:
         _load_error = str(exc)
         raise
@@ -425,26 +433,13 @@ def _annotate_backend(resolved: str, requested: str, fallback: str | None = None
 # ---------------------------------------------------------------------------
 
 
-# PyCapsule_GetPointer through a private prototype (the shared
-# ctypes.pythonapi entry keeps its default signature).
-_capsule_pointer = ctypes.PYFUNCTYPE(c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi)
-)
-
-
-def _bitgen_ptr(bg: np.random.PCG64) -> int:
-    """Address of the bit generator's ``bitgen_t``, read off its
-    capsule (``bg.ctypes`` builds a fresh ctypes interface per call)."""
-    return _capsule_pointer(bg.capsule, b"BitGenerator")
-
-
 def _sampler_template(dist, keep: list) -> _SamplerDesc:
     """Map one distribution to a kernel descriptor without its stream.
 
     ``Scaled``/``Shifted`` wrappers unwrap into a post-op chain
     (outermost first; the kernel applies them innermost first, matching
     the Python nesting).  Families with a native NumPy C counterpart
-    draw inside the kernel once the caller sets ``bg``; anything else
+    draw inside the kernel on the slot's C-seeded stream; anything else
     is ``_SK_PYCALL``, a per-draw Python callback performing the
     engine's exact scalar draw of ``dist`` itself.
     """
@@ -538,22 +533,78 @@ def _pump_fill(dist, rng):
 
 
 def _seed_key(seed) -> tuple[Any, tuple]:
-    """``(entropy, spawn_key)`` of a replication seed, validated like
-    :class:`~repro.simulation.rng.RngStreams`."""
+    """``(entropy, spawn_key)`` of a replication seed: a
+    ``SeedSequence``, a plain seed (validated like
+    :class:`~repro.simulation.rng.RngStreams`), or a fleet unit key
+    that already is that pair."""
     if isinstance(seed, np.random.SeedSequence):
         return seed.entropy, tuple(seed.spawn_key)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ModelValidationError(f"seed must be a non-negative integer, got {seed}")
-    return int(seed), ()
+    if isinstance(seed, tuple):
+        return seed[0], tuple(seed[1])
+    return validate_seed(seed), ()
 
 
-def _stream_bg(entropy, spawn_key: tuple, name: str) -> np.random.PCG64:
-    """The bit generator behind ``RngStreams(seed).stream(name)``:
-    ``SeedSequence(entropy, spawn_key + (fnv1a64(name),))`` into PCG64,
-    without the Generator wrapper.  ``np.random`` is looked up per
-    call."""
-    child = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key + (fnv1a64(name),))
-    return np.random.PCG64(child)
+def _python_streams(seed) -> RngStreams:
+    """The streams of the slots drawn in Python (callbacks, blocks)."""
+    if isinstance(seed, tuple):
+        seed = np.random.SeedSequence(seed[0], spawn_key=seed[1])
+    return RngStreams(seed)
+
+
+def _words(x) -> list[int]:
+    """SeedSequence's uint32 encoding of entropy: an integer becomes its
+    minimal little-endian words (``0`` is one zero word), a sequence the
+    concatenation of its elements' words."""
+    if isinstance(x, (int, np.integer)):
+        if x < 0:
+            raise ModelValidationError(f"seed entropy must be non-negative, got {x}")
+        x = int(x)
+        out = [x & 0xFFFFFFFF]
+        while x > 0xFFFFFFFF:
+            x >>= 32
+            out.append(x & 0xFFFFFFFF)
+        return out
+    if isinstance(x, (str, bytes, float, np.inexact)):
+        raise ModelValidationError(f"seed entropy must be integers, got {x!r}")
+    return [w for v in x for w in _words(v)]
+
+
+def _key_arrays(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel key words and offsets for ``(entropy, spawn_key)`` keys.
+
+    A key is its entropy words zero-padded to four, then its spawn-key
+    words: SeedSequence pads the run entropy to the pool size whenever
+    the spawn key is non-empty, and a stream's spawn key always ends in
+    its name hash (the kernel appends those words per slot).
+    """
+    rows = []
+    last = head = None
+    for entropy, spawn_key in keys:
+        if entropy is not last:  # a chunk's keys share one entropy object
+            last, head = entropy, _words(entropy)
+            head += [0] * (4 - len(head))
+        rows.append(head + _words(spawn_key))
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=offsets[1:])
+    flat = itertools.chain.from_iterable(rows)
+    return np.fromiter(flat, dtype=np.uint32, count=int(offsets[-1])), offsets
+
+
+def _seed_probe(keys, hashes) -> np.ndarray:
+    """Seed one stream per ``(key, name hash)`` through the kernel's
+    ``k_seed_streams`` probe; row ``i`` holds the stream's state and
+    inc words and its first draws (layout in ``_kernel.c``)."""
+    words, offsets = _key_arrays(keys)
+    hashes = np.ascontiguousarray(hashes, dtype=np.uint64)
+    if hashes.shape != (len(keys),):
+        raise ModelValidationError(
+            f"need one name hash per key, got {hashes.shape} for {len(keys)} keys"
+        )
+    out = np.zeros((len(keys), 12), dtype=np.uint64)
+    load_kernel().k_seed_streams(
+        len(keys), words.ctypes.data, offsets.ctypes.data, hashes.ctypes.data, out.ctypes.data
+    )
+    return out
 
 
 def _take(lib, ptr, n, ctype) -> np.ndarray:
@@ -592,6 +643,8 @@ def maybe_simulate_compiled(
     ``"auto"`` (validated by the caller); only ``"compiled"`` warns on
     fallback.
     """
+    if isinstance(seed, tuple):  # unit keys are for fleet chunks only
+        validate_seed(seed)
     try:
         lib = load_kernel()
     except KernelBuildError as exc:
@@ -644,6 +697,10 @@ def maybe_simulate_fleet_batch(
     or return ``None`` (kernel unavailable) so the fleet runner falls
     back to unit-at-a-time dispatch, which picks the engine and emits
     the usual fallback warnings itself.
+
+    ``seeds`` holds replication seeds or fleet unit keys ``(entropy,
+    spawn_key)``; a key runs exactly like ``SeedSequence(entropy,
+    spawn_key=spawn_key)`` without building that object.
 
     Returns ``(fields, failures)``: ``fields`` is the shared finalize's
     per-replication metrics for the replications that succeeded, with
@@ -706,8 +763,9 @@ def _simulate_reps(
     """The one descriptor builder and kernel-call loop.
 
     Builds routes (or routing tables), station descriptors and sampler
-    templates once, derives each seed's streams, and runs the kernel
-    through ``lib.<entry>`` (looked up per call) over every seed.  A
+    templates once, turns each seed into its key words once (the kernel
+    seeds every native stream from them), and runs the kernel through
+    ``lib.<entry>`` (looked up per call) over every seed.  A
     failing replication costs only itself: the loop resumes on fresh
     kernel state after it, unless ``raise_failure`` re-raises it.
 
@@ -832,36 +890,31 @@ def _simulate_reps(
             keep.extend(dists[-1])
         templates = [[_sampler_template(d, keep) for d in row] for row in dists]
 
+        # Stream slots in the kernel's order: K arrivals, M*K services
+        # (row-major by station), K routing streams.
         arrival_names = [f"arrivals/{k}" for k in range(K)]
         service_names = [[f"service/{i}/{k}" for k in range(K)] for i in range(M)]
         routing_names = [f"routing/{k}" for k in range(K)]
-        sampler_desc = (_SamplerDesc * (R * M * K))()
-        arrival_desc = (_ArrivalDesc * (R * K))()
-        routing_bg = (c_void_p * (R * K))() if routing is not None and not antithetic else None
+        slot_names = arrival_names + [n for row in service_names for n in row] + routing_names
+        slot_hash = np.array([fnv1a64(n) for n in slot_names], dtype=np.uint64)
+        key_words = key_off = None
+        if not antithetic:
+            key_words, key_off = _key_arrays([_seed_key(seed) for seed in seeds])
+        # Every replication's descriptor block starts as a byte copy of
+        # the templates; only slots drawn in Python get per-run ids.
+        sampler_tpl = (_SamplerDesc * (M * K))(*[t for row in templates for t in row])
+        sampler_desc = (_SamplerDesc * (R * M * K)).from_buffer_copy(bytes(sampler_tpl) * R)
+        arrival_desc = (_ArrivalDesc * (R * K)).from_buffer_copy(bytes(arrival_tpl) * R)
+        python_drawn = antithetic or _SK_PYCALL in arrival_kinds + [t.kind for t in sampler_tpl]
         routing_blocks: list[int] = []
-        for b, seed in enumerate(seeds):
-            if antithetic:
-                # Coupled generators; every natively drawn slot becomes a
-                # Python-refilled block over the same stream.
-                rng = RngStreams(seed).stream
-            else:
-                entropy, spawn_key = _seed_key(seed)
-
-                def bg(name, entropy=entropy, spawn_key=spawn_key):
-                    gen = _stream_bg(entropy, spawn_key, name)
-                    keep.append(gen)
-                    return gen
-
-                def rng(name):
-                    return np.random.Generator(bg(name))
-
+        for b, seed in enumerate(seeds if python_drawn else ()):
+            # Antithetic seeds give coupled generators; every natively
+            # drawn slot then becomes a Python-refilled block.
+            rng = _python_streams(seed).stream
             for k in range(K):
                 j = b * K + k
-                arrival_desc[j] = arrival_tpl[k]
                 kind = arrival_kinds[k]
-                if kind == _SK_EXPO:
-                    arrival_desc[j].bg = _bitgen_ptr(bg(arrival_names[k]))
-                elif kind == _SK_PYBLOCK:
+                if kind == _SK_PYBLOCK:
                     fill = partial(rng(arrival_names[k]).exponential, arrival_tpl[k].scale)
                     arrival_desc[j].py_id = new_block(fill)
                 elif kind == _SK_PYCALL:
@@ -874,24 +927,16 @@ def _simulate_reps(
                     j = (b * M + i) * K + k
                     name = service_names[i][k]
                     if antithetic:
-                        sampler_desc[j].kind = _SK_PYBLOCK
-                        sampler_desc[j].py_id = new_block(_pump_fill(dists[i][k], rng(name)))
-                        continue
-                    sampler_desc[j] = templates[i][k]
-                    if templates[i][k].kind == _SK_PYCALL:
+                        block = new_block(_pump_fill(dists[i][k], rng(name)))
+                        sampler_desc[j] = _SamplerDesc(kind=_SK_PYBLOCK, py_id=block)
+                    elif templates[i][k].kind == _SK_PYCALL:
                         sampler_desc[j].py_id = len(py_samplers)
                         py_samplers.append(partial(dists[i][k].sample, rng(name)))
-                    else:
-                        sampler_desc[j].bg = _bitgen_ptr(bg(name))
-            if routing is not None:
-                for k in range(K):
-                    if antithetic:
-                        # Mirrored uniforms cannot come off the raw bit
-                        # generator; Generator.random is the engine's
-                        # _draw_uniform block draw.
-                        routing_blocks.append(new_block(rng(routing_names[k]).random))
-                    else:
-                        routing_bg[b * K + k] = _bitgen_ptr(bg(routing_names[k]))
+            if routing is not None and antithetic:
+                # Mirrored uniforms cannot come off a raw bit generator;
+                # Generator.random is the engine's _draw_uniform block
+                # draw.
+                routing_blocks.extend(new_block(rng(name).random) for name in routing_names)
         routing_block = (c_int * K)(*routing_blocks) if routing_blocks else None
 
         acc = {
@@ -985,8 +1030,10 @@ def _simulate_reps(
                 route_len,
                 entry_v,
                 trans_v,
-                at(routing_bg, base),
                 routing_block,
+                at(key_words, 0),
+                at(key_off, base),
+                at(slot_hash, 0),
                 refill_cb,
                 len(block_fills),
                 _BLOCK_SIZE,
@@ -1022,7 +1069,7 @@ def _simulate_reps(
             if raise_failure or not isinstance(exc, Exception):
                 raise exc  # interrupts and exits are never a unit failure
             # Replications after the failing one resume on fresh kernel
-            # state; their streams are per-seed, so results are unchanged.
+            # state and freshly seeded streams, so results are unchanged.
             failures.append((base + fail_index[0], f"{type(exc).__name__}: {exc}"))
             cb_error.clear()
             base += fail_index[0] + 1

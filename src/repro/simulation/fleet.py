@@ -27,10 +27,12 @@ Two layers keep the path batch-native end to end:
   unit.
 * **Batched kernel dispatch** — a chunk of B replications of one
   scenario is a single C call: kernel state, station arrays and RNG
-  arenas are allocated once and reset between replications, with the
-  per-unit ``SeedSequence(seed, spawn_key=(scenario, replication))``
-  streams preserved so every row is bit-identical to the
-  unit-at-a-time path for any chunk size, worker count or steal order.
+  arenas are allocated once and reset between replications. Each unit
+  travels as its key ``(seed, (scenario, replication))`` and the
+  kernel seeds its streams in C to exactly the state
+  ``SeedSequence(seed, spawn_key=(scenario, replication))`` gives them,
+  so every row is bit-identical to the unit-at-a-time path for any
+  chunk size, worker count or steal order.
 
 A chunk's columns travel back pickled, one message per chunk (a few
 kilobytes at the default chunk sizes). A worker that dies costs only
@@ -64,6 +66,7 @@ from repro.exceptions import ModelValidationError
 from repro.simulation.compiled import resolve_backend
 from repro.simulation.parallel import WorkerPool, resolve_n_jobs
 from repro.simulation.results_store import FleetStore, _column_dtype
+from repro.simulation.rng import validate_seed
 from repro.simulation.simulator import _mean_delay
 
 __all__ = ["FleetScenario", "FleetSummary", "run_fleet", "fleet_columns"]
@@ -191,13 +194,14 @@ def _run_chunk(
     from repro.simulation.simulator import simulate
 
     base_unit = sid * n_replications + rep0
-    seeds = [_unit_seed(master_seed, sid, rep0 + j) for j in range(count)]
     batch = None
     if backend != "python":
+        # The kernel seeds each unit's streams from its key directly.
+        keys = [(master_seed, (sid, rep0 + j)) for j in range(count)]
         start = time.perf_counter()
         try:
             batch = compiled.maybe_simulate_fleet_batch(
-                backend, sc.cluster, sc.workload, sc.horizon, sc.warmup_fraction, seeds
+                backend, sc.cluster, sc.workload, sc.horizon, sc.warmup_fraction, keys
             )
         except Exception as exc:
             # Scenario-level rejection (validation, instability): every
@@ -211,7 +215,7 @@ def _run_chunk(
         walls = [(time.perf_counter() - start) / count] * len(ok)
     else:
         ok, walls, results, failures = [], [], [], []
-        for j, seed in enumerate(seeds):
+        for j in range(count):
             start = time.perf_counter()
             try:
                 res = simulate(
@@ -219,7 +223,7 @@ def _run_chunk(
                     sc.workload,
                     horizon=sc.horizon,
                     warmup_fraction=sc.warmup_fraction,
-                    seed=seed,
+                    seed=_unit_seed(master_seed, sid, rep0 + j),
                 )
             except Exception as exc:
                 failures.append((j, f"{type(exc).__name__}: {exc}"))
@@ -282,7 +286,9 @@ def run_fleet(
         Directory the :class:`FleetStore` is created in (must not
         already hold a store).
     seed:
-        Master seed; unit seeds are ``SeedSequence(seed,
+        Master seed, a non-negative integer (anything else raises
+        :class:`~repro.exceptions.ModelValidationError` before any
+        unit runs); unit seeds are ``SeedSequence(seed,
         spawn_key=(scenario, replication))`` regardless of scheduling.
     n_jobs:
         Worker processes (``None``/``1`` serial, ``-1`` all cores),
@@ -304,6 +310,7 @@ def run_fleet(
     Returns a :class:`FleetSummary`; the rows live in the store at
     ``out``.
     """
+    seed = validate_seed(seed)
     if not scenarios:
         raise ModelValidationError("run_fleet needs at least one scenario")
     if n_replications < 1:

@@ -53,6 +53,7 @@ __all__ = [
     "CoupledGenerator",
     "BlockCursor",
     "fnv1a64",
+    "validate_seed",
 ]
 
 _U64_MASK = (1 << 64) - 1
@@ -80,6 +81,18 @@ def fnv1a64(name: str) -> int:
             digest = ((digest ^ ch) * _FNV_PRIME) & _U64_MASK
         _DIGEST_CACHE[name] = digest
     return digest
+
+
+def validate_seed(seed) -> int:
+    """A plain master seed as a Python ``int``.
+
+    Rejects negative values, non-integers and ``bool`` (``True`` is an
+    ``int`` to Python but never a meant seed) with
+    :class:`~repro.exceptions.ModelValidationError`.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ModelValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 #: Largest double strictly below 1.0; mirrored uniforms are clipped
@@ -178,9 +191,7 @@ class RngStreams:
         elif isinstance(seed, np.random.SeedSequence):
             self._seq = seed
         else:
-            if not isinstance(seed, (int, np.integer)) or seed < 0:
-                raise ModelValidationError(f"seed must be a non-negative integer, got {seed}")
-            self._seq = np.random.SeedSequence(int(seed))
+            self._seq = np.random.SeedSequence(validate_seed(seed))
         self._streams: dict[str, np.random.Generator | CoupledGenerator] = {}
         # Deterministic per-name children: hash the name into a stable
         # spawn key so the same name always yields the same stream
